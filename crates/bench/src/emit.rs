@@ -1,11 +1,6 @@
-//! Figure output: terminal table + ASCII chart + CSV/JSON artifacts,
-//! plus the per-PR benchmark trajectory (`BENCH_*.json` at the
-//! workspace root).
+//! Figure output: terminal table + ASCII chart + CSV/JSON artifacts.
 
 use esr_metrics::{ascii_chart, FigureTable};
-use esr_sim::RunResult;
-use serde::Serialize;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// Directory for machine-readable figure artifacts.
@@ -49,55 +44,6 @@ pub fn emit_figure(fig: &FigureTable, name: &str) {
     println!("(artifacts: {} and .json)\n", csv.display());
 }
 
-/// One scenario row of a benchmark-trajectory artifact: the
-/// throughput/latency/abort shape a later perf PR is compared against.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct BenchRow {
-    /// Committed transactions per (virtual) second.
-    pub throughput: f64,
-    /// Median committed-attempt latency, microseconds.
-    pub latency_p50_micros: u64,
-    /// 95th-percentile latency, microseconds.
-    pub latency_p95_micros: u64,
-    /// 99th-percentile latency, microseconds.
-    pub latency_p99_micros: u64,
-    /// Aborts (client retries) over the measurement window.
-    pub aborts: u64,
-    /// Successful inconsistent operations over the window.
-    pub inconsistent_ops: u64,
-}
-
-impl From<&RunResult> for BenchRow {
-    fn from(r: &RunResult) -> Self {
-        BenchRow {
-            throughput: r.throughput,
-            latency_p50_micros: r.txn_latency.p50(),
-            latency_p95_micros: r.txn_latency.p95(),
-            latency_p99_micros: r.txn_latency.p99(),
-            aborts: r.aborts,
-            inconsistent_ops: r.inconsistent_ops,
-        }
-    }
-}
-
-/// Write `filename` (e.g. `BENCH_PR3.json`) at the workspace root:
-/// a `scenario name → row` object, keys sorted for stable diffs. Rows
-/// are any serialisable shape ([`BenchRow`] for the figure-style
-/// artifacts; perf PRs may carry extra comparison fields). Returns the
-/// path written.
-pub fn emit_bench_json<R: Serialize>(
-    filename: &str,
-    rows: &BTreeMap<String, R>,
-) -> std::io::Result<PathBuf> {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join(filename);
-    let body = serde_json::to_string_pretty(rows).map_err(std::io::Error::other)?;
-    std::fs::write(&path, body + "\n")?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,36 +61,5 @@ mod tests {
         assert!(dir.join("unit_test_figure.json").exists());
         let _ = std::fs::remove_file(dir.join("unit_test_figure.csv"));
         let _ = std::fs::remove_file(dir.join("unit_test_figure.json"));
-    }
-
-    #[test]
-    fn bench_json_lands_at_workspace_root_with_sorted_keys() {
-        let row = BenchRow {
-            throughput: 123.5,
-            latency_p50_micros: 40_000,
-            latency_p95_micros: 90_000,
-            latency_p99_micros: 120_000,
-            aborts: 7,
-            inconsistent_ops: 3,
-        };
-        let mut rows = BTreeMap::new();
-        rows.insert("z_scenario".to_string(), row.clone());
-        rows.insert("a_scenario".to_string(), row);
-        let path = emit_bench_json("BENCH_UNIT_TEST.json", &rows).unwrap();
-        assert!(path.ends_with("BENCH_UNIT_TEST.json"));
-        let body = std::fs::read_to_string(&path).unwrap();
-        // BTreeMap serialisation: deterministic key order.
-        assert!(body.find("a_scenario").unwrap() < body.find("z_scenario").unwrap());
-        for field in [
-            "throughput",
-            "latency_p50_micros",
-            "latency_p95_micros",
-            "latency_p99_micros",
-            "aborts",
-            "inconsistent_ops",
-        ] {
-            assert!(body.contains(field), "missing field {field}");
-        }
-        let _ = std::fs::remove_file(path);
     }
 }

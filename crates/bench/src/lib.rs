@@ -13,11 +13,16 @@
 //! the `figures` binary pull their configuration from here so the
 //! numbers in EXPERIMENTS.md and the bench output can never drift
 //! apart.
+//!
+//! Everything here runs in virtual time, or is a Criterion microbench
+//! of the kernel or the transaction language. Wall-clock performance
+//! of the real daemon is measured by the standalone `benchmark/` crate
+//! at the repository root and nowhere else.
 
 pub mod emit;
 pub mod runners;
 pub mod scenarios;
 
-pub use emit::{emit_bench_json, emit_figure, BenchRow};
+pub use emit::emit_figure;
 pub use runners::{run_point, sweep_mpl, thrashing_point};
 pub use scenarios::*;

@@ -34,6 +34,7 @@
 
 pub mod client;
 pub mod frame;
+mod listen;
 pub mod metrics;
 pub mod monitor;
 pub mod msg;

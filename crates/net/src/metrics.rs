@@ -12,10 +12,11 @@
 //! relaxed atomics and never touches kernel state, so scraping a loaded
 //! server cannot perturb the schedule it is measuring.
 
+use crate::listen::{accept_until_stopped, wake};
 use esr_obs::TextExposition;
 use esr_server::ServerStats;
 use std::io::{self, Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -64,19 +65,7 @@ impl MetricsServer {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Unblock the accept loop with a wake-up connection; same
-        // wildcard-address handling as the transaction listener.
-        let wake = if self.addr.ip().is_unspecified() {
-            let ip: IpAddr = if self.addr.is_ipv4() {
-                Ipv4Addr::LOCALHOST.into()
-            } else {
-                Ipv6Addr::LOCALHOST.into()
-            };
-            SocketAddr::new(ip, self.addr.port())
-        } else {
-            self.addr
-        };
-        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(2));
+        wake(self.addr);
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
@@ -90,26 +79,17 @@ impl Drop for MetricsServer {
 }
 
 fn accept_loop(listener: TcpListener, source: StatsSource, stop: Arc<AtomicBool>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(50));
-                continue;
-            }
-        };
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        // A scrape is served inline on the accept thread; timeouts keep
-        // a silent or stalled peer from wedging the endpoint.
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-        let _ = serve_one(stream, &source);
-    }
+    accept_until_stopped(
+        &stop,
+        || listener.accept(),
+        |(stream, _)| {
+            // A scrape is served inline on the accept thread; timeouts
+            // keep a silent or stalled peer from wedging the endpoint.
+            let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+            let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
+            let _ = serve_one(stream, &source);
+        },
+    );
 }
 
 /// Read one HTTP request head and answer it.

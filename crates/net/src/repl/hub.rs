@@ -23,6 +23,7 @@ use super::{
     MAX_REPL_FRAME, MAX_SNAPSHOT_CHUNK, REPL_PROTOCOL_VERSION,
 };
 use crate::frame::{read_frame, write_frame, write_frame_limit, FrameError};
+use crate::listen::{accept_until_stopped, wake};
 use esr_clock::Timestamp;
 use esr_core::ids::TxnId;
 use esr_core::value::Value;
@@ -202,9 +203,8 @@ impl ReplicationHub {
             st.stopping = true;
         }
         self.shared.work.notify_all();
-        // Unblock the accept call with a throwaway connection.
         if let Some(addr) = *self.addr.lock().unwrap_or_else(PoisonError::into_inner) {
-            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(200));
+            wake(addr);
         }
         if let Some(h) = self
             .listen
@@ -299,21 +299,18 @@ impl DurabilitySink for ReplSink {
 }
 
 fn accept_loop(shared: Arc<HubShared>, listener: TcpListener) {
-    loop {
-        let (stream, peer) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => break,
-        };
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let shared = Arc::clone(&shared);
-        let _ = thread::Builder::new()
-            .name("esr-repl-send".into())
-            .spawn(move || {
-                let _ = serve_subscriber(&shared, stream, peer.to_string());
-            });
-    }
+    accept_until_stopped(
+        &shared.stop,
+        || listener.accept(),
+        |(stream, peer)| {
+            let shared = Arc::clone(&shared);
+            let _ = thread::Builder::new()
+                .name("esr-repl-send".into())
+                .spawn(move || {
+                    let _ = serve_subscriber(&shared, stream, peer.to_string());
+                });
+        },
+    );
 }
 
 /// What the state machine tells a sender to do next.

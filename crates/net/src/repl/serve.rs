@@ -37,6 +37,7 @@
 
 use super::replica::{record_capture, ReplicaNode};
 use crate::frame::{read_frame, write_frame, FrameError};
+use crate::listen::{accept_until_stopped, wake};
 use crate::msg::{ReplyBody, RequestBody, WireReply, WireRequest};
 use crate::server::busy_reject;
 use esr_core::ids::{TxnId, TxnKind};
@@ -120,7 +121,7 @@ impl ReplicaServer {
     /// Stop accepting and wake the accept thread.
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
+        wake(self.addr);
         if let Some(h) = self
             .accept
             .lock()
@@ -139,19 +140,16 @@ impl Drop for ReplicaServer {
 }
 
 fn accept_loop(shared: Arc<ServeShared>, listener: TcpListener) {
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => break,
-        };
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let conn_shared = Arc::clone(&shared);
-        let _ = thread::Builder::new()
-            .name("esr-replica-conn".into())
-            .spawn(move || conn_loop(&conn_shared, stream));
-    }
+    accept_until_stopped(
+        &shared.stop,
+        || listener.accept(),
+        |(stream, _)| {
+            let conn_shared = Arc::clone(&shared);
+            let _ = thread::Builder::new()
+                .name("esr-replica-conn".into())
+                .spawn(move || conn_loop(&conn_shared, stream));
+        },
+    );
 }
 
 /// Per-transaction serving state.

@@ -25,6 +25,7 @@
 //! not a reset.
 
 use crate::frame::{read_frame, write_frame};
+use crate::listen::{accept_until_stopped, wake};
 use crate::msg::{ReplyBody, RequestBody, WireReply, WireRequest};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use esr_core::ids::{SiteId, TxnId};
@@ -34,9 +35,7 @@ use esr_server::{
 };
 use parking_lot::Mutex;
 use std::io;
-use std::net::{
-    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
-};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -290,23 +289,7 @@ impl TcpServer {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Unblock the accept loop; it observes `stop` and exits. A
-        // wildcard bind address (0.0.0.0/::) is not connectable on
-        // every platform, so the wake-up targets the loopback of the
-        // same family with the bound port; bounded by a timeout so a
-        // failed wake-up cannot hang shutdown indefinitely (the accept
-        // loop also polls `stop` after every accept error).
-        let wake = if self.addr.ip().is_unspecified() {
-            let ip: IpAddr = if self.addr.is_ipv4() {
-                Ipv4Addr::LOCALHOST.into()
-            } else {
-                Ipv6Addr::LOCALHOST.into()
-            };
-            SocketAddr::new(ip, self.addr.port())
-        } else {
-            self.addr
-        };
-        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(2));
+        wake(self.addr);
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
@@ -343,23 +326,7 @@ fn accept_loop(
 ) {
     let overload = Arc::new(OverloadState::new());
     let mut next_conn = 0u64;
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                // A persistent accept failure (EMFILE when the fd table
-                // is full, say) would otherwise busy-spin this thread at
-                // 100% CPU; back off briefly before retrying.
-                std::thread::sleep(Duration::from_millis(50));
-                continue;
-            }
-        };
-        if stop.load(Ordering::SeqCst) {
-            return; // the wake-up connection, or a late straggler
-        }
+    let on_conn = |(stream, _): (TcpStream, SocketAddr)| {
         let _ = stream.set_nodelay(true);
         let _ = stream.set_write_timeout(config.write_timeout);
         conns
@@ -387,7 +354,8 @@ fn accept_loop(
         let mut reg = threads.lock();
         reg.push(writer);
         reg.push(reader);
-    }
+    };
+    accept_until_stopped(&stop, || listener.accept(), on_conn);
 }
 
 /// Drain the connection's reply queue onto the socket. Exits when every

@@ -313,25 +313,88 @@ fn skewed_tcp_client_is_corrected_by_the_handshake() {
 }
 
 #[test]
-fn shutdown_of_a_wildcard_bound_server_returns_promptly() {
+fn shutdown_of_wildcard_bound_listeners_returns_promptly() {
     // Binding 0.0.0.0 means local_addr() is not directly connectable on
-    // every platform; shutdown's accept-loop wake-up must target the
-    // loopback with the bound port instead of hanging the join.
-    let table = CatalogConfig::default().build_with_values(&[1]);
-    let server = Server::start(Kernel::with_defaults(table), ServerConfig::default());
-    let mut tcp = TcpServer::bind(server, "0.0.0.0:0").expect("bind wildcard");
-    assert!(tcp.local_addr().ip().is_unspecified());
-    let mut c =
-        TcpConnection::connect(("127.0.0.1", tcp.local_addr().port())).expect("connect loopback");
-    c.begin(TxnKind::Query, TxnBounds::import(Limit::Unlimited))
-        .unwrap();
-    c.commit().unwrap();
-    let t0 = std::time::Instant::now();
-    tcp.shutdown();
-    assert!(
-        t0.elapsed() < Duration::from_secs(10),
-        "shutdown hung on the accept join"
-    );
+    // every platform; each listener's accept-loop wake-up must target
+    // the loopback with the bound port instead of hanging the join. All
+    // four listeners of the crate are bound that way, used once through
+    // the loopback, and shut down; a hung join trips the watchdog
+    // instead of hanging the test binary.
+    use esr_core::hierarchy::HierarchySchema;
+    use esr_net::{
+        MetricsServer, ReplicaConfig, ReplicaNode, ReplicaServer, ReplicationHub, StatsSource,
+    };
+    use esr_server::build_server_stats;
+    use std::net::TcpListener;
+    use std::sync::Arc;
+
+    let scratch = |tag: &str| {
+        let dir =
+            std::env::temp_dir().join(format!("esr-net-wildcard-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    let (hub_dir, replica_dir) = (scratch("hub"), scratch("replica"));
+    let dirs = [hub_dir.clone(), replica_dir.clone()];
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let wildcard = || TcpListener::bind("0.0.0.0:0").expect("bind wildcard");
+
+        let table = CatalogConfig::default().build_with_values(&[1]);
+        let server = Server::start(Kernel::with_defaults(table), ServerConfig::default());
+        let mut tcp = TcpServer::bind(server, "0.0.0.0:0").expect("bind wildcard");
+        assert!(tcp.local_addr().ip().is_unspecified());
+        let mut c = TcpConnection::connect(("127.0.0.1", tcp.local_addr().port()))
+            .expect("connect loopback");
+        c.begin(TxnKind::Query, TxnBounds::import(Limit::Unlimited))
+            .unwrap();
+        c.commit().unwrap();
+
+        let kernel = Arc::clone(tcp.server().kernel());
+        let obs = Arc::clone(tcp.server().obs());
+        let source: StatsSource = Arc::new(move || build_server_stats(&kernel, &obs));
+        let mut metrics = MetricsServer::bind("0.0.0.0:0", source).expect("bind wildcard");
+        assert!(metrics.local_addr().ip().is_unspecified());
+
+        let hub = ReplicationHub::new(&hub_dir, false).expect("hub");
+        let hub_addr = hub.serve(wildcard()).expect("serve subscribers");
+        assert!(hub_addr.ip().is_unspecified());
+        let node = ReplicaNode::start(ReplicaConfig {
+            data_dir: replica_dir,
+            primary: format!("127.0.0.1:{}", hub_addr.port()),
+            catalog: CatalogConfig {
+                n_objects: 1,
+                ..CatalogConfig::default()
+            },
+            schema: HierarchySchema::two_level(),
+            checkpoint_every: 0,
+            apply_delay_micros: 0,
+        })
+        .expect("replica node");
+        while hub.replication_stats().peers.is_empty() {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let replica = ReplicaServer::start(Arc::clone(&node), wildcard()).expect("replica server");
+        assert!(replica.addr().ip().is_unspecified());
+        let mut r = TcpConnection::connect(("127.0.0.1", replica.addr().port()))
+            .expect("connect replica loopback");
+        r.begin(TxnKind::Query, TxnBounds::import(Limit::Unlimited))
+            .unwrap();
+        r.commit().unwrap();
+
+        replica.shutdown();
+        node.shutdown();
+        hub.shutdown();
+        metrics.shutdown();
+        tcp.shutdown();
+        done_tx.send(()).unwrap();
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a wildcard-bound listener hung in shutdown (or the test thread panicked)");
+    for dir in dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 #[test]

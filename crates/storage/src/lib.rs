@@ -37,12 +37,9 @@ pub mod wal;
 pub use catalog::{CatalogConfig, LimitAssignment};
 pub use history::{CommittedWrite, HistoryRing, ProperValue};
 pub use object::{ObjectState, QueryReader, UncommittedWrite};
-pub use pager::{
-    recover_paged, recover_paged_observed, PageCacheSnapshot, PagedHeap, PagedRecovered,
-    PagerConfig,
-};
+pub use pager::{recover_paged, PageCacheSnapshot, PagedHeap, PagedRecovered, PagerConfig};
 pub use table::ObjectTable;
-pub use wal::{recover, recover_observed, DurabilitySink, Recovered, Wal, WalOptions, WalRecord};
+pub use wal::{recover, DurabilitySink, Recovered, Wal, WalOptions, WalRecord};
 
 /// The paper's history depth: the values of "the last 20 writes on each
 /// object" are retained for proper-value lookup (§5.1).

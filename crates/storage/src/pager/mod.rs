@@ -72,7 +72,7 @@ pub mod recover;
 
 pub use page::DEFAULT_PAGE_SIZE;
 pub use pool::PageCacheSnapshot;
-pub use recover::{recover_paged, recover_paged_observed, PagedRecovered};
+pub use recover::{recover_paged, PagedRecovered};
 
 use crate::object::ObjectState;
 use crate::wal::DurabilitySink;
@@ -332,12 +332,6 @@ impl PagedHeap {
     /// size in page terms, the unit cache budgets are expressed in.
     pub fn logical_pages(&self) -> usize {
         self.page_map.len()
-    }
-
-    /// The logical page holding `id`. Benchmarks use this to size a
-    /// working set in page terms (objects pack densely in id order).
-    pub fn page_of(&self, id: ObjectId) -> u32 {
-        self.directory.locate(id).0
     }
 
     /// WAL sequence covered by the snapshot this boot recovered from.
@@ -765,6 +759,35 @@ mod tests {
         }
         assert!(heap.cache_stats().dirty_flushes > 0);
         assert_eq!(heap.max_ts_ticks(), 10);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn full_residency_second_pass_never_misses_or_evicts() {
+        let dir = tempdir("pager-resident");
+        let cfg = PagerConfig {
+            cache_pages: 64,
+            ..small_cfg()
+        };
+        let heap = PagedHeap::create(&dir, states(64), 0, 1, &cfg).unwrap();
+        assert!(
+            heap.logical_pages() <= cfg.cache_pages,
+            "the cache must hold the whole heap"
+        );
+        let pass = |txn: u64| {
+            for i in 0..64u32 {
+                let mut g = heap.pin_object(ObjectId(i));
+                g.apply_write(TxnId(txn), ts(10 * txn), i as i64);
+                assert!(g.commit_write(TxnId(txn)));
+            }
+        };
+        pass(1);
+        let warm = heap.cache_stats();
+        pass(2);
+        let again = heap.cache_stats();
+        assert_eq!(again.misses, warm.misses, "every page was already resident");
+        assert_eq!(again.evictions, warm.evictions, "nothing had to make room");
+        assert_eq!(again.hits, warm.hits + 64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -182,18 +182,6 @@ pub struct PageCacheSnapshot {
     pub capacity_pages: u64,
 }
 
-impl PageCacheSnapshot {
-    /// Hit fraction over everything pinned so far (1.0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,17 +260,5 @@ mod tests {
             s.insert(frame(l));
         }
         assert_eq!(s.frames.len(), 4, "slots recycled, not grown");
-    }
-
-    #[test]
-    fn hit_rate_handles_idle_and_busy() {
-        let idle = PageCacheSnapshot::default();
-        assert_eq!(idle.hit_rate(), 1.0);
-        let busy = PageCacheSnapshot {
-            hits: 99,
-            misses: 1,
-            ..Default::default()
-        };
-        assert!((busy.hit_rate() - 0.99).abs() < 1e-9);
     }
 }

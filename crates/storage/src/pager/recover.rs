@@ -57,19 +57,6 @@ pub fn recover_paged(
     catalog: &CatalogConfig,
     cfg: &PagerConfig,
 ) -> io::Result<PagedRecovered> {
-    recover_paged_observed(dir, catalog, cfg, |_| {})
-}
-
-/// [`recover_paged`], invoking `on_replayed` with the running record
-/// count after each replayed redo record (in the migration path the
-/// count comes from the resident replay). Benchmarks use the hook to
-/// time replay in fixed-size chunks.
-pub fn recover_paged_observed(
-    dir: impl AsRef<Path>,
-    catalog: &CatalogConfig,
-    cfg: &PagerConfig,
-    mut on_replayed: impl FnMut(u64),
-) -> io::Result<PagedRecovered> {
     let dir = dir.as_ref();
     fs::create_dir_all(dir)?;
     remove_tmp_files(dir)?;
@@ -77,7 +64,7 @@ pub fn recover_paged_observed(
     let Some(heap) = PagedHeap::open(dir, cfg)? else {
         // Fresh boot or resident-mode migration: let the resident
         // recovery assemble the states, then page them out.
-        let rec = recover::recover_observed(dir, catalog, &mut on_replayed)?;
+        let rec = recover::recover(dir, catalog)?;
         let base_seq = rec.next_seq - 1;
         let heap = PagedHeap::create(dir, rec.states, base_seq, rec.next_txn, cfg)?;
         // The initial directory snapshot covers everything the legacy
@@ -95,7 +82,6 @@ pub fn recover_paged_observed(
     };
 
     let base_seq = heap.base_seq();
-    let mut seen = 0u64;
     let scan = replay_segments(dir, base_seq, |rec| {
         for &(oid, value) in &rec.writes {
             let mut g = heap.pin_object(oid);
@@ -103,8 +89,6 @@ pub fn recover_paged_observed(
             let committed = g.commit_write(rec.txn);
             debug_assert!(committed, "replayed write must commit");
         }
-        seen += 1;
-        on_replayed(seen);
     })?;
     heap.note_ts_ticks(scan.max_record_ticks);
 

@@ -47,7 +47,7 @@ pub mod recover;
 pub mod ship;
 
 pub use checkpoint::{snapshot_table, Checkpoint, ObjectSnapshot};
-pub use recover::{recover, recover_observed, Recovered};
+pub use recover::{recover, Recovered};
 pub use ship::{install_snapshot_dir, read_epoch, read_records_from, write_epoch};
 
 use esr_clock::Timestamp;

@@ -53,18 +53,6 @@ pub struct Recovered {
 /// durable state this returns the catalog's pristine database, so a
 /// first boot and a restart share one code path.
 pub fn recover(dir: impl AsRef<Path>, catalog: &CatalogConfig) -> io::Result<Recovered> {
-    recover_observed(dir, catalog, |_| {})
-}
-
-/// [`recover`], invoking `on_replayed` with the running record count
-/// after each replayed redo record. Benchmarks use the hook to time
-/// replay in fixed-size chunks (the clock stays on the caller's side —
-/// this module never reads wall time).
-pub fn recover_observed(
-    dir: impl AsRef<Path>,
-    catalog: &CatalogConfig,
-    mut on_replayed: impl FnMut(u64),
-) -> io::Result<Recovered> {
     let dir = dir.as_ref();
     fs::create_dir_all(dir)?;
     remove_tmp_files(dir)?;
@@ -92,12 +80,7 @@ pub fn recover_observed(
         None => (catalog.build_states(), 0, 1),
     };
 
-    let mut seen = 0u64;
-    let scan = replay_segments(dir, base_seq, |rec| {
-        replay_record(&mut states, rec);
-        seen += 1;
-        on_replayed(seen);
-    })?;
+    let scan = replay_segments(dir, base_seq, |rec| replay_record(&mut states, rec))?;
     had_state = had_state || scan.saw_bytes;
     next_txn = next_txn.max(scan.max_txn_plus_one);
 

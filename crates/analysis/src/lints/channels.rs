@@ -2,8 +2,10 @@
 //!
 //! An unbounded queue turns a slow or hostile peer into unbounded
 //! memory growth — overload must surface as explicit backpressure
-//! (`SubmitError::Busy`, severed connections), never as silent
-//! buffering. Server-facing code therefore constructs channels with
+//! (a sender that blocks, a severed connection), never as silent
+//! buffering. The TCP request path has no channel at all: a connection
+//! has one request in service and TCP's own flow control holds back the
+//! rest. Where server-facing code does construct a channel, it uses
 //! `crossbeam::channel::bounded(cap)` and decides what happens on
 //! `Full`; `unbounded()` and `std::sync::mpsc::channel()` (unbounded
 //! by construction) are denied.

@@ -225,8 +225,15 @@ fn decode_content(buf: &[u8], pos: &mut usize, depth: usize) -> Result<Content, 
 /// Serialize a value to its codec bytes (no length prefix).
 pub fn to_bytes<T: Serialize>(value: &T) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
-    encode_content(&value.to_content(), &mut out);
+    encode_into(value, &mut out);
     out
+}
+
+/// Append a value's codec bytes to `out`, so a caller that frames the
+/// payload (length prefix, checksum) builds the whole frame in one
+/// buffer it can reuse.
+pub fn encode_into<T: Serialize>(value: &T, out: &mut Vec<u8>) {
+    encode_content(&value.to_content(), out);
 }
 
 /// Deserialize a payload produced by [`to_bytes`].

@@ -195,6 +195,11 @@ impl ServerProc {
         self.addr
     }
 
+    /// The daemon's process id (for `/proc/<pid>` accounting).
+    pub fn pid(&self) -> u32 {
+        self.child.id()
+    }
+
     /// The metrics endpoint's bound address, when spawned with
     /// [`ServerProcOptions::metrics`].
     pub fn metrics_addr(&self) -> Option<SocketAddr> {

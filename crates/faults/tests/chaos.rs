@@ -33,7 +33,6 @@ fn leased_server(values: &[i64], lease: Duration) -> TcpServer {
     let server = Server::start(
         kernel,
         ServerConfig {
-            workers: 4,
             reap_interval: Duration::from_millis(10),
             ..ServerConfig::default()
         },

@@ -7,15 +7,16 @@
 //! ```
 //!
 //! Defaults: `127.0.0.1:7878`, 64 objects initialised to 1000 (the
-//! paper's account-balance ballpark), 4 workers. `--lease-micros`
-//! enables transaction leases: a transaction whose client goes silent
-//! for `L` microseconds is reaped (aborted and rolled back), so stalled
-//! or crashed clients cannot wedge the server; `0` (the default)
-//! disables leases. Orphaned transactions of *disconnected* clients are
-//! always reaped, leases or not. The daemon logs a rate-limited warning
-//! whenever the request queue overflows and clients are pushed into
-//! retry backoff. The bound address is
-//! printed once the listener is up; connect with
+//! paper's account-balance ballpark). Every TCP connection is served by
+//! a thread of its own, which runs each request against the kernel
+//! itself; there is no worker pool, and `--workers` is accepted and
+//! ignored so that command lines written for one keep working.
+//! `--lease-micros` enables transaction leases: a transaction whose
+//! client goes silent for `L` microseconds is reaped (aborted and rolled
+//! back), so stalled or crashed clients cannot wedge the server; `0`
+//! (the default) disables leases. Orphaned transactions of
+//! *disconnected* clients are always reaped, leases or not. The bound
+//! address is printed once the listener is up; connect with
 //! `esr_net::TcpConnection` (see the `tcp_loopback` example) or any
 //! client speaking the framed protocol.
 //!
@@ -89,8 +90,8 @@
 //! exercised end to end; it exists solely for the soak harness.
 
 use esr_net::{
-    ConformanceMonitor, MetricsServer, MonitorConfig, NetServerConfig, ReplicaConfig, ReplicaNode,
-    ReplicaServer, ReplicationHub, StatsSource, TcpServer,
+    ConformanceMonitor, MetricsServer, MonitorConfig, ReplicaConfig, ReplicaNode, ReplicaServer,
+    ReplicationHub, StatsSource, TcpServer,
 };
 use esr_server::{build_server_stats, start_durable_with, Server, ServerConfig, ServerStats};
 use esr_storage::catalog::CatalogConfig;
@@ -105,7 +106,8 @@ fn usage() -> ! {
         "usage: esr-tcpd [ADDR] [--objects N] [--value V] [--workers W] [--metrics-addr ADDR] \
          [--lease-micros L] [--data-dir DIR] [--checkpoint-secs S] [--cache-pages N] \
          [--monitor] [--monitor-capacity N] [--repl-addr ADDR] [--promote] \
-         [--replica-of ADDR]"
+         [--replica-of ADDR]\n\
+         --workers is accepted and ignored: every connection is served by its own thread"
     );
     std::process::exit(2);
 }
@@ -124,7 +126,6 @@ fn main() {
     let mut addr = "127.0.0.1:7878".to_owned();
     let mut objects: usize = 64;
     let mut value: i64 = 1000;
-    let mut workers: usize = 4;
     let mut metrics_addr: Option<String> = None;
     let mut lease_micros: u64 = 0;
     let mut data_dir: Option<String> = None;
@@ -145,7 +146,7 @@ fn main() {
         match arg.as_str() {
             "--objects" => objects = parse(&mut args, "--objects"),
             "--value" => value = parse(&mut args, "--value"),
-            "--workers" => workers = parse(&mut args, "--workers"),
+            "--workers" => drop(parse::<usize>(&mut args, "--workers")),
             "--metrics-addr" => metrics_addr = Some(parse(&mut args, "--metrics-addr")),
             "--lease-micros" => lease_micros = parse(&mut args, "--lease-micros"),
             "--data-dir" => data_dir = Some(parse(&mut args, "--data-dir")),
@@ -207,10 +208,7 @@ fn main() {
         lease_micros,
         ..KernelConfig::default()
     };
-    let server_config = ServerConfig {
-        workers,
-        ..ServerConfig::default()
-    };
+    let server_config = ServerConfig::default();
     let mut hub: Option<Arc<ReplicationHub>> = None;
     let server = match &data_dir {
         Some(dir) => {
@@ -324,13 +322,7 @@ fn main() {
             },
         )
     });
-    let net_config = NetServerConfig {
-        // Overload is an operator concern: surface it, but at most one
-        // line every few seconds no matter how hard clients hammer.
-        warn_on_overload: Some(Duration::from_secs(5)),
-        ..NetServerConfig::default()
-    };
-    let tcp = match TcpServer::bind_with(server, &addr, net_config) {
+    let tcp = match TcpServer::bind(server, &addr) {
         Ok(tcp) => tcp,
         Err(e) => {
             eprintln!("esr-tcpd: cannot bind {addr}: {e}");
@@ -353,7 +345,7 @@ fn main() {
         ""
     };
     println!(
-        "esr-tcpd listening on {} ({objects} objects @ {value}, {workers} workers{lease}{durable}{paged}{monitored})",
+        "esr-tcpd listening on {} ({objects} objects @ {value}{lease}{durable}{paged}{monitored})",
         tcp.local_addr()
     );
     // Keep the metrics listener alive for the lifetime of the process.

@@ -30,17 +30,18 @@
 //!   unknown-transaction answer, and a resent `End` whose original
 //!   reply was lost resolves via `EndReply::Unknown` — the server never
 //!   commits twice.
-//! - **Busy reject**: the server answered "queue full" with a
-//!   load-adaptive retry-after hint; the client sleeps that long (plus
-//!   jitter) and resends on the same connection.
+//! - **Busy reject**: a replica answered a read its budget cannot
+//!   cover yet with a retry-after hint scaled to its apply lag; the
+//!   client sleeps that long (plus jitter) and resends on the same
+//!   connection.
 //! - **Reply timeout** is *not* retried: the request may be parked on a
 //!   kernel wait queue, and resending it would duplicate the
 //!   operation. The correlation id discipline means a stale reply to
 //!   an abandoned call is recognised and discarded instead of being
 //!   mistaken for the current one.
 
-use crate::frame::{read_frame, write_frame, FrameError};
-use crate::msg::{ReplyBody, RequestBody, WireRequest};
+use crate::frame::{encode_frame, FrameError, FrameReader, MAX_FRAME};
+use crate::msg::{ReplyBody, RequestBody, WireReply, WireRequest};
 use crate::server::{busy_retry_after_micros, is_busy_error, BUSY_RETRY_BASE_MICROS};
 use esr_clock::{CorrectionFactor, SkewedSource, SystemTimeSource, TimeSource, TimestampGenerator};
 use esr_core::ids::{ObjectId, SiteId, TxnId, TxnKind};
@@ -52,7 +53,7 @@ use esr_tso::{CommitInfo, Operation};
 use esr_txn::{Session, SessionError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::io;
+use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -117,7 +118,11 @@ impl Default for NetClientConfig {
 /// owns the site id the server allocated in the handshake and a
 /// corrected local clock that stamps its transactions.
 pub struct TcpConnection {
-    stream: TcpStream,
+    /// The socket: replies are read through the buffer, requests are
+    /// written to the stream under it.
+    frames: FrameReader<TcpStream>,
+    /// The buffer every request is encoded into.
+    out: Vec<u8>,
     /// Resolved server addresses, kept for reconnects.
     addrs: Vec<SocketAddr>,
     config: NetClientConfig,
@@ -175,6 +180,16 @@ fn dial(addrs: &[SocketAddr], config: &NetClientConfig) -> io::Result<TcpStream>
     Err(last_err.expect("at least one attempt ran"))
 }
 
+/// `body` as it is first sent: not a resend, its correlation id stamped
+/// by [`TcpConnection::call_once`] when the frame goes out.
+fn first_send(body: RequestBody) -> WireRequest {
+    WireRequest {
+        id: 0,
+        retry: false,
+        body,
+    }
+}
+
 /// If `reply` is a busy reject, the backoff to honour before resending
 /// (the server's hint, or the base when an old server sent no hint).
 fn busy_hint_micros(reply: &ReplyBody) -> Option<u64> {
@@ -217,10 +232,11 @@ impl TcpConnection {
         if addrs.is_empty() {
             return Err(io::Error::other("address resolved to nothing"));
         }
-        let stream = dial(&addrs, &config)?;
+        let frames = FrameReader::new(dial(&addrs, &config)?);
         let rng = SmallRng::seed_from_u64(config.retry_seed);
         let mut conn = TcpConnection {
-            stream,
+            frames,
+            out: Vec::new(),
             addrs,
             config,
             // Placeholder until the handshake delivers the real site id.
@@ -243,7 +259,7 @@ impl TcpConnection {
     /// a retrying handshake would recurse.
     fn handshake(&mut self) -> Result<(), String> {
         let site = match self
-            .call_once(&RequestBody::Hello, false)
+            .call_once(&mut first_send(RequestBody::Hello))
             .map_err(CallError::into_message)?
         {
             ReplyBody::Welcome { site } => SiteId(site),
@@ -263,7 +279,7 @@ impl TcpConnection {
         for _ in 0..self.config.clock_samples.max(1) {
             let t0 = Instant::now();
             let server_micros = match self
-                .call_once(&RequestBody::TimeExchange, false)
+                .call_once(&mut first_send(RequestBody::TimeExchange))
                 .map_err(CallError::into_message)?
             {
                 ReplyBody::Time { micros } => micros,
@@ -326,11 +342,12 @@ impl TcpConnection {
     /// else surfaces after the first attempt. Resends carry the wire
     /// `retry` flag so the server can count them.
     fn call(&mut self, body: RequestBody) -> Result<ReplyBody, SessionError> {
+        let mut request = first_send(body);
         let mut resends = 0u32;
         let mut backoff = self.config.retry_backoff;
         loop {
             let out_of_attempts = resends + 1 >= self.config.call_attempts;
-            match self.call_once(&body, resends > 0) {
+            match self.call_once(&mut request) {
                 Ok(reply) => {
                     let Some(hint) = busy_hint_micros(&reply) else {
                         return Ok(reply);
@@ -340,8 +357,8 @@ impl TcpConnection {
                         // normal reply mapping.
                         return Ok(reply);
                     }
-                    // Busy reject: the connection is fine, the queue is
-                    // full. Honour the server's load-adaptive hint.
+                    // Busy reject: the connection is fine, the server
+                    // cannot answer yet. Honour its retry-after hint.
                     std::thread::sleep(self.jittered(Duration::from_micros(hint)));
                 }
                 Err(CallError::Terminal(e)) => return Err(SessionError::Backend(e)),
@@ -360,6 +377,7 @@ impl TcpConnection {
             }
             resends += 1;
             self.retries += 1;
+            request.retry = true;
         }
     }
 
@@ -374,31 +392,31 @@ impl TcpConnection {
     /// this side keeps `current` so the in-flight call can resend and
     /// collect its typed answer (aborted / unknown transaction).
     fn reconnect(&mut self) -> Result<(), String> {
-        self.stream = dial(&self.addrs, &self.config).map_err(|e| e.to_string())?;
+        // A new reader with the new stream: bytes buffered from the old
+        // one belong to a conversation that is over.
+        self.frames = FrameReader::new(dial(&self.addrs, &self.config).map_err(|e| e.to_string())?);
         self.handshake()
     }
 
-    /// One send/receive cycle, no resends: send the request, then
-    /// receive until the reply with this call's correlation id arrives.
-    /// Replies with a *smaller* id belong to calls already abandoned by
-    /// a timeout and are discarded; the number of receive attempts is
-    /// bounded.
-    fn call_once(&mut self, body: &RequestBody, retry: bool) -> Result<ReplyBody, CallError> {
+    /// One send/receive cycle, no resends: stamp the request with the
+    /// next correlation id and send it, then receive until the reply
+    /// with that id arrives. Replies with a *smaller* id belong to calls
+    /// already abandoned by a timeout and are discarded; the number of
+    /// receive attempts is bounded.
+    fn call_once(&mut self, request: &mut WireRequest) -> Result<ReplyBody, CallError> {
         let id = self.next_id;
         self.next_id += 1;
+        request.id = id;
         let t0 = Instant::now();
-        let frame = WireRequest {
-            id,
-            retry,
-            body: body.clone(),
-        };
         // Any write failure leaves the stream possibly mid-frame, so
         // even a timeout is a transport error here.
-        write_frame(&mut self.stream, &frame)
+        self.out.clear();
+        encode_frame(request, MAX_FRAME, &mut self.out)
+            .and_then(|()| Ok(self.frames.get_ref().write_all(&self.out)?))
             .map_err(|e| CallError::Transport(format!("request write failed: {e}")))?;
         let mut attempts = 0u32;
         loop {
-            match read_frame::<crate::msg::WireReply>(&mut self.stream) {
+            match self.frames.read::<WireReply>() {
                 Ok(reply) if reply.id == id => {
                     self.rpc_latency.record_duration(t0.elapsed());
                     return Ok(reply.body);

@@ -11,8 +11,8 @@
 //! The payload is the compact binary encoding of the serde data model
 //! from [`esr_core::codec`] (shared with the storage write-ahead log,
 //! which journals redo records in the same bytes); this module owns
-//! only the *framing*: the length prefix, the socket I/O, and the
-//! frame-size cap.
+//! only the *framing*: the length prefix, the socket I/O (one buffer
+//! per stream, set up once — none per message), and the frame-size cap.
 //!
 //! Frames larger than [`MAX_FRAME`] are rejected on both ends: a
 //! corrupt or malicious length prefix must not trigger an unbounded
@@ -45,7 +45,7 @@ pub enum FrameError {
     /// The bytes were read but did not decode to the expected message.
     Codec(String),
     /// A length prefix exceeded the channel's frame cap ([`MAX_FRAME`]
-    /// unless the `_limit` variants were given a different one).
+    /// unless the writer or [`FrameReader`] was given a different one).
     Oversize(u32),
 }
 
@@ -114,53 +114,136 @@ pub fn write_frame_limit<T: Serialize>(
     value: &T,
     cap: u32,
 ) -> Result<(), FrameError> {
-    let payload = to_bytes(value);
-    let len = u32::try_from(payload.len()).map_err(|_| FrameError::Oversize(u32::MAX))?;
-    if len > cap {
-        return Err(FrameError::Oversize(len));
-    }
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::with_capacity(64);
+    encode_frame(value, cap, &mut frame)?;
     w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
 
-/// Read one frame and decode it.
-///
-/// A timeout before the first byte of the length prefix returns
-/// [`FrameError::Timeout`]: the stream is still frame-aligned and the
-/// read may be retried. A timeout (or EOF) after any byte has been
-/// consumed is a hard [`FrameError::Io`]/[`FrameError::Closed`] — the
-/// stream cannot be resynchronised.
-pub fn read_frame<T: Deserialize>(r: &mut impl Read) -> Result<T, FrameError> {
-    read_frame_limit(r, MAX_FRAME)
-}
-
-/// [`read_frame`] with an explicit payload cap instead of
-/// [`MAX_FRAME`]. The cap still bounds what a corrupt or malicious
-/// length prefix can make this side allocate, so it should be as small
-/// as the channel's honest traffic allows.
-pub fn read_frame_limit<T: Deserialize>(r: &mut impl Read, cap: u32) -> Result<T, FrameError> {
-    let mut header = [0u8; 4];
-    // First byte separately: distinguishes "no frame yet" (retryable)
-    // from "died mid-frame" (fatal).
-    match r.read(&mut header[..1]) {
-        Ok(0) => return Err(FrameError::Closed),
-        Ok(_) => {}
-        Err(e) if is_timeout(&e) => return Err(FrameError::Timeout),
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => return Err(FrameError::Timeout),
-        Err(e) => return Err(FrameError::Io(e)),
-    }
-    r.read_exact(&mut header[1..])?;
-    let len = u32::from_le_bytes(header);
+/// Append one frame — length prefix and payload — to `out`, which a
+/// caller that writes many frames keeps and reuses. On
+/// [`FrameError::Oversize`] `out` is left as it was.
+pub fn encode_frame<T: Serialize>(
+    value: &T,
+    cap: u32,
+    out: &mut Vec<u8>,
+) -> Result<(), FrameError> {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    codec::encode_into(value, out);
+    let len = u32::try_from(out.len() - at - 4).unwrap_or(u32::MAX);
     if len > cap {
+        out.truncate(at);
         return Err(FrameError::Oversize(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    from_bytes(&payload)
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    Ok(())
+}
+
+/// What a [`FrameReader`]'s buffer starts at and shrinks back to. Protocol
+/// messages are tens of bytes; a longer frame grows the buffer for as
+/// long as it is being read.
+const READ_BUF: usize = 4096;
+
+/// Reads frames from `R` through a buffer it owns and reuses: a frame
+/// that has arrived whole costs one `read` call, and frames a peer
+/// pipelined behind it are served from the buffer with none.
+///
+/// The contract of [`FrameReader::read`]:
+///
+/// - [`FrameError::Timeout`] only when the read timed out with no byte
+///   of the next frame consumed — the stream is still frame-aligned and
+///   the read may be retried;
+/// - [`FrameError::Closed`] only for EOF at a frame boundary;
+/// - a timeout or EOF after any byte of a frame is a hard
+///   [`FrameError::Io`] — the peer stalled or died mid-frame;
+/// - [`FrameError::Oversize`] for a length prefix above the channel's
+///   cap, before the buffer grows by a byte. The cap bounds what a
+///   corrupt or malicious prefix can make this side allocate, so it
+///   should be as small as the channel's honest traffic allows.
+#[derive(Debug)]
+pub struct FrameReader<R> {
+    inner: R,
+    cap: u32,
+    /// `buf[start..end]` is input read but not yet returned.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// A reader with the default [`MAX_FRAME`] payload cap.
+    pub fn new(inner: R) -> Self {
+        FrameReader::with_cap(inner, MAX_FRAME)
+    }
+
+    /// A reader with an explicit payload cap; both ends of a channel
+    /// must agree on it.
+    pub fn with_cap(inner: R, cap: u32) -> Self {
+        FrameReader {
+            inner,
+            cap,
+            buf: vec![0; READ_BUF],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// The underlying stream (the write half of a socket, say).
+    pub fn get_ref(&self) -> &R {
+        &self.inner
+    }
+
+    /// Read one frame and decode it.
+    pub fn read<T: Deserialize>(&mut self) -> Result<T, FrameError> {
+        self.fill(4)?;
+        let header = self.buf[self.start..self.start + 4]
+            .try_into()
+            .expect("fill buffered four bytes");
+        let len = u32::from_le_bytes(header);
+        if len > self.cap {
+            return Err(FrameError::Oversize(len));
+        }
+        let total = 4 + len as usize;
+        self.fill(total)?;
+        let value = from_bytes(&self.buf[self.start + 4..self.start + total]);
+        self.start += total;
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+            if self.buf.len() > READ_BUF {
+                self.buf = vec![0; READ_BUF];
+            }
+        }
+        value
+    }
+
+    /// Buffer at least the first `need` bytes of the next frame.
+    fn fill(&mut self, need: usize) -> Result<(), FrameError> {
+        while self.end - self.start < need {
+            if self.start + need > self.buf.len() {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+                if need > self.buf.len() {
+                    self.buf.resize(need, 0);
+                }
+            }
+            let mid_frame = self.end > self.start;
+            match self.inner.read(&mut self.buf[self.end..]) {
+                Ok(0) if mid_frame => {
+                    return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into())
+                }
+                Ok(0) => return Err(FrameError::Closed),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if is_timeout(&e) && !mid_frame => return Err(FrameError::Timeout),
+                Err(e) => return Err(FrameError::Io(e)),
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -295,12 +378,121 @@ mod tests {
             body: ReplyBody::Op(OpReply::Written),
         };
         write_frame(&mut buf, &msg).unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
-        let back: WireReply = read_frame(&mut cursor).unwrap();
+        let mut frames = FrameReader::new(std::io::Cursor::new(buf));
+        let back: WireReply = frames.read().unwrap();
         assert_eq!(back, msg);
         // A second read hits clean EOF.
-        match read_frame::<WireReply>(&mut cursor) {
+        match frames.read::<WireReply>() {
             Err(FrameError::Closed) => {}
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// A scripted stream: each step is one `read` call's outcome.
+    enum Step {
+        Data(Vec<u8>),
+        TimedOut,
+    }
+
+    struct Scripted {
+        steps: std::collections::VecDeque<Step>,
+        reads: usize,
+    }
+
+    impl Scripted {
+        fn new(steps: Vec<Step>) -> Self {
+            Scripted {
+                steps: steps.into(),
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            match self.steps.pop_front() {
+                Some(Step::Data(bytes)) => {
+                    assert!(bytes.len() <= out.len(), "script outruns the buffer");
+                    out[..bytes.len()].copy_from_slice(&bytes);
+                    Ok(bytes.len())
+                }
+                Some(Step::TimedOut) => Err(io::ErrorKind::WouldBlock.into()),
+                None => Ok(0),
+            }
+        }
+    }
+
+    fn reply(id: u64) -> WireReply {
+        WireReply {
+            id,
+            body: ReplyBody::Error("x".repeat(id as usize)),
+        }
+    }
+
+    fn framed(msgs: &[WireReply]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for m in msgs {
+            encode_frame(m, MAX_FRAME, &mut bytes).unwrap();
+        }
+        bytes
+    }
+
+    #[test]
+    fn a_frame_split_across_reads_at_any_offset_decodes() {
+        let msgs = [reply(3), reply(40)];
+        let bytes = framed(&msgs);
+        for cut in 1..bytes.len() {
+            let (a, b) = bytes.split_at(cut);
+            let mut frames = FrameReader::new(Scripted::new(vec![
+                Step::Data(a.to_vec()),
+                Step::Data(b.to_vec()),
+            ]));
+            for m in &msgs {
+                assert_eq!(&frames.read::<WireReply>().unwrap(), m, "cut at {cut}");
+            }
+            assert!(matches!(
+                frames.read::<WireReply>(),
+                Err(FrameError::Closed)
+            ));
+        }
+    }
+
+    #[test]
+    fn frames_delivered_by_one_read_cost_one_read() {
+        let msgs = [reply(1), reply(2), reply(3)];
+        let mut frames = FrameReader::new(Scripted::new(vec![Step::Data(framed(&msgs))]));
+        for m in &msgs {
+            assert_eq!(&frames.read::<WireReply>().unwrap(), m);
+        }
+        assert_eq!(frames.get_ref().reads, 1);
+    }
+
+    #[test]
+    fn a_timeout_is_retryable_at_a_boundary_and_fatal_inside_a_frame() {
+        let bytes = framed(&[reply(5)]);
+        let (head, tail) = bytes.split_at(6);
+        let mut frames = FrameReader::new(Scripted::new(vec![
+            Step::TimedOut,
+            Step::Data(bytes.clone()),
+            Step::TimedOut,
+            Step::Data(head.to_vec()),
+            Step::TimedOut,
+            Step::Data(tail.to_vec()),
+        ]));
+        assert!(matches!(
+            frames.read::<WireReply>(),
+            Err(FrameError::Timeout)
+        ));
+        assert_eq!(frames.read::<WireReply>().unwrap(), reply(5));
+        // Between two frames again: still nothing consumed.
+        assert!(matches!(
+            frames.read::<WireReply>(),
+            Err(FrameError::Timeout)
+        ));
+        // Six bytes into the next frame the same timeout is not.
+        match frames.read::<WireReply>() {
+            Err(FrameError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
             other => panic!("{other:?}"),
         }
     }
@@ -310,10 +502,24 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
         buf.extend_from_slice(&[0; 16]);
-        match read_frame::<WireReply>(&mut std::io::Cursor::new(buf)) {
+        let mut frames = FrameReader::new(std::io::Cursor::new(buf));
+        match frames.read::<WireReply>() {
             Err(FrameError::Oversize(n)) => assert_eq!(n, MAX_FRAME + 1),
             other => panic!("{other:?}"),
         }
+        assert_eq!(frames.buf.len(), READ_BUF, "the prefix bought no memory");
+    }
+
+    #[test]
+    fn a_long_frame_grows_the_buffer_only_while_it_is_read() {
+        let big = WireReply {
+            id: 1,
+            body: ReplyBody::Error("y".repeat(3 * READ_BUF)),
+        };
+        let mut frames = FrameReader::new(std::io::Cursor::new(framed(&[big.clone(), reply(2)])));
+        assert_eq!(frames.read::<WireReply>().unwrap(), big);
+        assert_eq!(frames.read::<WireReply>().unwrap(), reply(2));
+        assert_eq!(frames.buf.len(), READ_BUF);
     }
 
     #[test]
@@ -332,9 +538,11 @@ mod tests {
         // A raised cap round-trips what the default would also carry,
         // and a reader holding the small cap refuses the same bytes.
         write_frame_limit(&mut buf, &msg, 1 << 24).unwrap();
-        let back: WireReply = read_frame_limit(&mut std::io::Cursor::new(&buf), 1 << 24).unwrap();
+        let back: WireReply = FrameReader::with_cap(std::io::Cursor::new(&buf), 1 << 24)
+            .read()
+            .unwrap();
         assert_eq!(back, msg);
-        match read_frame_limit::<WireReply>(&mut std::io::Cursor::new(&buf), 8) {
+        match FrameReader::with_cap(std::io::Cursor::new(&buf), 8).read::<WireReply>() {
             Err(FrameError::Oversize(_)) => {}
             other => panic!("{other:?}"),
         }
@@ -352,8 +560,8 @@ mod tests {
         )
         .unwrap();
         buf.truncate(buf.len() - 1);
-        match read_frame::<WireReply>(&mut std::io::Cursor::new(buf)) {
-            Err(FrameError::Io(_)) => {} // read_exact hits EOF mid-frame
+        match FrameReader::new(std::io::Cursor::new(buf)).read::<WireReply>() {
+            Err(FrameError::Io(_)) => {} // EOF mid-frame
             other => panic!("{other:?}"),
         }
         // Corrupt tag inside an otherwise complete frame: the hostile-

@@ -3,7 +3,7 @@
 //! The paper's entire performance study runs multiple transaction
 //! clients against one central server over synchronous RPC (a null call
 //! cost ≈ 11 ms there; 17–20 ms on average). `esr-server` reproduces
-//! the *system* — kernel, worker pool, blocking strict-ordering waits —
+//! the *system* — kernel, request path, blocking strict-ordering waits —
 //! but speaks only in-process channels, with a `thread::sleep` standing
 //! in for the network. This crate replaces the sleep with a socket:
 //!
@@ -14,10 +14,10 @@
 //!   wrapped in correlation-id envelopes, so one socket can have an
 //!   operation parked on a kernel wait queue while other traffic
 //!   (including the `End` that wakes it) flows past;
-//! - [`server`] — [`TcpServer`], which accepts connections and bridges
-//!   decoded requests into the existing worker/kernel dispatch through
-//!   hook reply sinks that route each reply (immediate or woken much
-//!   later) back to the right socket;
+//! - [`server`] — [`TcpServer`], which accepts connections and runs
+//!   each decoded request against the kernel on its connection's own
+//!   thread, with hook reply sinks that write each reply (immediate or
+//!   woken much later) to the right socket;
 //! - [`client`] — [`TcpConnection`], a [`esr_txn::Session`] over the
 //!   socket with the §6 handshake done for real: server-allocated site
 //!   id, Cristian time exchanges for the clock correction factor,
@@ -33,6 +33,7 @@
 //! and reports *measured* RPC round trips and throughput.
 
 pub mod client;
+mod conn;
 pub mod frame;
 mod listen;
 pub mod metrics;
@@ -42,7 +43,7 @@ pub mod repl;
 pub mod server;
 
 pub use client::{NetClientConfig, TcpConnection};
-pub use frame::{FrameError, MAX_FRAME};
+pub use frame::{FrameError, FrameReader, MAX_FRAME};
 pub use metrics::{render_metrics, MetricsServer, StatsSource};
 pub use monitor::{ConformanceMonitor, MonitorConfig};
 pub use msg::{ReplyBody, RequestBody, WireReply, WireRequest};
@@ -52,5 +53,4 @@ pub use repl::serve::{ReplicaServer, READ_ONLY_ERROR};
 pub use repl::{ReplFrame, ReplRequest, REPL_PROTOCOL_VERSION};
 pub use server::{
     busy_retry_after_micros, is_busy_error, NetServerConfig, TcpServer, BUSY_RETRY_BASE_MICROS,
-    BUSY_RETRY_MAX_MICROS,
 };

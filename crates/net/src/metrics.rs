@@ -230,7 +230,7 @@ pub fn render_metrics(stats: &ServerStats) -> String {
         )
         .gauge(
             "esr_in_flight",
-            "Requests currently inside the worker pool",
+            "Requests currently being served",
             stats.in_flight,
         )
         .gauge(

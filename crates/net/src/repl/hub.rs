@@ -22,7 +22,7 @@ use super::{
     record_wire_cost, ReplFrame, ReplRequest, MAX_RECORD_BATCH, MAX_RECORD_BATCH_BYTES,
     MAX_REPL_FRAME, MAX_SNAPSHOT_CHUNK, REPL_PROTOCOL_VERSION,
 };
-use crate::frame::{read_frame, write_frame, write_frame_limit, FrameError};
+use crate::frame::{write_frame, write_frame_limit, FrameError, FrameReader};
 use crate::listen::{accept_until_stopped, wake};
 use esr_clock::Timestamp;
 use esr_core::ids::TxnId;
@@ -379,7 +379,7 @@ fn serve_subscriber(shared: &HubShared, mut stream: TcpStream, peer: String) -> 
         version,
         epoch,
         from_seq,
-    } = match read_frame::<ReplRequest>(&mut stream) {
+    } = match FrameReader::new(&stream).read::<ReplRequest>() {
         Ok(req) => req,
         Err(_) => return Ok(()),
     };

@@ -34,7 +34,7 @@
 //! [`ObjectState`]: esr_storage::object::ObjectState
 
 use super::{ReplFrame, ReplRequest, MAX_REPL_FRAME, REPL_PROTOCOL_VERSION};
-use crate::frame::{read_frame_limit, write_frame, FrameError};
+use crate::frame::{write_frame, FrameError, FrameReader};
 use esr_core::hierarchy::HierarchySchema;
 use esr_core::value::{distance, Value};
 use esr_core::ObjectId;
@@ -471,13 +471,13 @@ fn run_connection(shared: &Arc<NodeShared>) -> io::Result<bool> {
         .to_socket_addrs()?
         .next()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "primary address"))?;
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(1))?;
+    let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(1))?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
     let my_epoch = shared.epoch.load(Ordering::SeqCst);
     write_frame(
-        &mut stream,
+        &mut &stream,
         &ReplRequest::Subscribe {
             version: REPL_PROTOCOL_VERSION,
             epoch: my_epoch,
@@ -485,7 +485,8 @@ fn run_connection(shared: &Arc<NodeShared>) -> io::Result<bool> {
         },
     )
     .map_err(frame_io)?;
-    match read_frame_limit::<ReplFrame>(&mut stream, MAX_REPL_FRAME).map_err(frame_io)? {
+    let mut frames = FrameReader::with_cap(&stream, MAX_REPL_FRAME);
+    match frames.read::<ReplFrame>().map_err(frame_io)? {
         ReplFrame::Accept { epoch } => {
             if epoch < my_epoch {
                 // A primary behind our fence: a resurrected
@@ -515,7 +516,7 @@ fn run_connection(shared: &Arc<NodeShared>) -> io::Result<bool> {
         if shared.stop.load(Ordering::SeqCst) || shared.poisoned.load(Ordering::SeqCst) {
             return Ok(progressed);
         }
-        let frame = match read_frame_limit::<ReplFrame>(&mut stream, MAX_REPL_FRAME) {
+        let frame = match frames.read::<ReplFrame>() {
             Ok(f) => f,
             Err(FrameError::Timeout) => continue,
             Err(_) => return Ok(progressed),

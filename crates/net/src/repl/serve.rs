@@ -36,7 +36,7 @@
 //! [`Ledger`]: esr_core::ledger::Ledger
 
 use super::replica::{record_capture, ReplicaNode};
-use crate::frame::{read_frame, write_frame, FrameError};
+use crate::conn::{Connections, ReplyPort, WRITE_TIMEOUT};
 use crate::listen::{accept_until_stopped, wake};
 use crate::msg::{ReplyBody, RequestBody, WireReply, WireRequest};
 use crate::server::busy_reject;
@@ -54,7 +54,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
-use std::time::Duration;
 
 /// The stable error message for writes (and update transactions)
 /// against a replica.
@@ -77,6 +76,8 @@ struct ServeShared {
     /// Query transaction ids, node-local.
     txn_counter: AtomicU64,
     stop: AtomicBool,
+    /// One thread per client connection, as on the primary.
+    conns: Arc<Connections>,
 }
 
 /// A listening replica front end.
@@ -95,6 +96,7 @@ impl ReplicaServer {
             site_counter: AtomicU64::new(0),
             txn_counter: AtomicU64::new(1),
             stop: AtomicBool::new(false),
+            conns: Arc::default(),
         });
         let accept_shared = Arc::clone(&shared);
         let handle = thread::Builder::new()
@@ -118,7 +120,7 @@ impl ReplicaServer {
         &self.shared.node
     }
 
-    /// Stop accepting and wake the accept thread.
+    /// Stop accepting, then wake and join every connection's thread.
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         wake(self.addr);
@@ -130,6 +132,7 @@ impl ReplicaServer {
         {
             let _ = h.join();
         }
+        self.shared.conns.close();
     }
 }
 
@@ -145,9 +148,11 @@ fn accept_loop(shared: Arc<ServeShared>, listener: TcpListener) {
         || listener.accept(),
         |(stream, _)| {
             let conn_shared = Arc::clone(&shared);
-            let _ = thread::Builder::new()
-                .name("esr-replica-conn".into())
-                .spawn(move || conn_loop(&conn_shared, stream));
+            shared
+                .conns
+                .spawn("esr-replica-conn", stream, move |stream| {
+                    conn_loop(&conn_shared, stream)
+                });
         },
     );
 }
@@ -162,29 +167,18 @@ struct TxnState {
     strict: bool,
 }
 
-fn conn_loop(shared: &ServeShared, mut stream: TcpStream) {
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(500)))
-        .is_err()
-        || stream.set_nodelay(true).is_err()
-    {
+/// One connection's thread: every request is answered before the next
+/// is read (a replica parks nothing), through the same loop and port as
+/// on the primary.
+fn conn_loop(shared: &ServeShared, stream: TcpStream) {
+    let Ok(port) = ReplyPort::new(stream, Some(WRITE_TIMEOUT)) else {
         return;
-    }
+    };
     let mut txns: HashMap<TxnId, TxnState> = HashMap::new();
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let req = match read_frame::<WireRequest>(&mut stream) {
-            Ok(req) => req,
-            Err(FrameError::Timeout) => continue,
-            Err(_) => break,
-        };
+    port.serve_requests(|req: WireRequest| {
         let body = dispatch(shared, &mut txns, req.body);
-        if write_frame(&mut stream, &WireReply { id: req.id, body }).is_err() {
-            break;
-        }
-    }
+        port.send(&WireReply { id: req.id, body });
+    });
     // Orphan-reap: a dropped connection aborts its open queries, and
     // the capture stream says so.
     for (txn, _) in txns.drain() {

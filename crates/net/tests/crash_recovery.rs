@@ -170,6 +170,7 @@ fn retried_end_after_restart_resolves_unknown() {
     // Speak the wire protocol directly: Hello, then a retry-flagged End
     // for the pre-crash transaction.
     let mut sock = TcpStream::connect(server.addr()).unwrap();
+    let mut replies = frame::FrameReader::new(sock.try_clone().unwrap());
     frame::write_frame(
         &mut sock,
         &WireRequest {
@@ -179,7 +180,7 @@ fn retried_end_after_restart_resolves_unknown() {
         },
     )
     .unwrap();
-    let welcome: WireReply = frame::read_frame(&mut sock).unwrap();
+    let welcome: WireReply = replies.read().unwrap();
     assert!(matches!(welcome.body, ReplyBody::Welcome { .. }));
     frame::write_frame(
         &mut sock,
@@ -193,7 +194,7 @@ fn retried_end_after_restart_resolves_unknown() {
         },
     )
     .unwrap();
-    let reply: WireReply = frame::read_frame(&mut sock).unwrap();
+    let reply: WireReply = replies.read().unwrap();
     match reply.body {
         ReplyBody::End(EndReply::Unknown(t)) => assert_eq!(t, open_txn),
         other => panic!("expected EndReply::Unknown, got {other:?}"),
@@ -233,6 +234,82 @@ fn repeated_kill_restart_cycles_accumulate_state() {
         .unwrap();
     for &(obj, want) in &expected {
         assert_eq!(c.read(obj).unwrap(), want, "cycle value for {obj:?}");
+    }
+    c.commit().unwrap();
+    drop(c);
+    drop(server);
+    cleanup_dir(&dir);
+}
+
+/// Group commit across connections: eight of them commit at once.
+/// Each committer waits for its log sync on its connection's own
+/// thread, so a sync can gather up to eight commits; what it gathered
+/// is printed (it is timing, and not asserted). The contract is the usual one: SIGKILL
+/// mid-run, and every commit a client was told succeeded is there
+/// after the restart.
+#[test]
+fn eight_concurrent_committers_lose_no_acknowledged_commit() {
+    use std::sync::atomic::{AtomicI64, Ordering};
+    use std::sync::Arc;
+
+    const CONNECTIONS: usize = 8;
+    const ACKS_BEFORE_KILL: i64 = 25;
+    let dir = scratch_dir("group-commit");
+    let mut server = ServerProc::spawn(&opts(&dir)).expect("spawn daemon");
+    let acked: Arc<Vec<AtomicI64>> =
+        Arc::new((0..CONNECTIONS).map(|_| AtomicI64::new(0)).collect());
+    let clients: Vec<_> = (0..CONNECTIONS)
+        .map(|k| {
+            let addr = server.addr();
+            let acked = Arc::clone(&acked);
+            std::thread::spawn(move || {
+                let mut c = connect(addr);
+                // One object per client, until the daemon dies under it.
+                for i in 1i64.. {
+                    let done = c
+                        .begin(TxnKind::Update, TxnBounds::export(Limit::ZERO))
+                        .and_then(|()| c.write(ObjectId(k as u32), 10_000 + i))
+                        .and_then(|()| c.commit());
+                    if done.is_err() {
+                        return i; // the attempt the crash cut off
+                    }
+                    acked[k].store(i, Ordering::SeqCst);
+                }
+                unreachable!("the loop ends when the daemon is killed");
+            })
+        })
+        .collect();
+    while acked
+        .iter()
+        .any(|a| a.load(Ordering::SeqCst) < ACKS_BEFORE_KILL)
+    {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stats = connect(server.addr())
+        .server_stats()
+        .expect("stats before the kill");
+    let syncs = stats.histogram("fsync_micros").map_or(0, |h| h.count);
+    eprintln!(
+        "group commit, {CONNECTIONS} connections: {} commits in {syncs} syncs = {:.2} commits per fsync",
+        stats.kernel.commits_update,
+        stats.kernel.commits_update as f64 / syncs.max(1) as f64
+    );
+    server.kill().expect("SIGKILL daemon");
+    let attempted: Vec<i64> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+
+    let server = ServerProc::spawn(&opts(&dir)).expect("restart daemon");
+    let mut c = connect(server.addr());
+    c.begin(TxnKind::Query, TxnBounds::import(Limit::Unlimited))
+        .unwrap();
+    for k in 0..CONNECTIONS {
+        let v = c.read(ObjectId(k as u32)).unwrap();
+        let era = if v == 1000 { 0 } else { v - 10_000 };
+        let acked = acked[k].load(Ordering::SeqCst);
+        assert!(
+            (acked..=attempted[k]).contains(&era),
+            "client {k}: acknowledged {acked}, attempted {}, recovered {era}",
+            attempted[k]
+        );
     }
     c.commit().unwrap();
     drop(c);

@@ -400,13 +400,13 @@ fn shutdown_of_wildcard_bound_listeners_returns_promptly() {
 #[test]
 fn disconnecting_returns_the_site_id_for_reuse() {
     // Connection churn must not consume the 16-bit site space: when a
-    // connection goes away its reader releases the Hello-allocated id,
+    // connection goes away its thread releases the Hello-allocated id,
     // and a later connection receives it again.
     let tcp = tcp_server_with(&[1], 2);
     let first_site = client(&tcp).site(); // connect, read id, drop
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
-        // The release happens when the server-side reader observes the
+        // The release happens when the server-side thread observes the
         // EOF of the dropped connection, so poll briefly. Connections
         // that drew a fresh id are themselves dropped and recycled.
         let c = client(&tcp);
@@ -444,9 +444,10 @@ fn stats_travel_the_wire_and_match_the_kernel() {
         .expect("kernel histogram crossed the wire");
     assert_eq!(txn_latency.count, 1);
     assert!(txn_latency.p99() >= txn_latency.p50());
-    // Worker instrumentation crossed too. A worker records its sample
-    // just *after* sending the reply, so a fast client can snapshot
-    // before the last record lands — poll until the two ops appear.
+    // Request instrumentation crossed too. The serving thread records
+    // its sample just *after* sending the reply, so a fast client can
+    // snapshot before the last record lands — poll until the two ops
+    // appear.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
         let ops = c
@@ -689,12 +690,13 @@ fn killed_connection_is_orphan_reaped_and_unwedges_waiter() {
 
 #[test]
 fn wire_retry_flags_are_counted_by_the_server() {
-    use esr_net::frame::{read_frame, write_frame};
+    use esr_net::frame::{write_frame, FrameReader};
     use esr_net::{ReplyBody, RequestBody, WireReply, WireRequest};
 
     let tcp = tcp_server_with(&[1], 2);
     let mut raw = std::net::TcpStream::connect(tcp.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut replies = FrameReader::new(raw.try_clone().unwrap());
     for (id, retry) in [(1u64, false), (2, true), (3, true)] {
         write_frame(
             &mut raw,
@@ -705,7 +707,7 @@ fn wire_retry_flags_are_counted_by_the_server() {
             },
         )
         .unwrap();
-        let reply: WireReply = read_frame(&mut raw).unwrap();
+        let reply: WireReply = replies.read().unwrap();
         assert_eq!(reply.id, id);
         assert!(matches!(reply.body, ReplyBody::Time { .. }));
     }
@@ -713,61 +715,382 @@ fn wire_retry_flags_are_counted_by_the_server() {
 }
 
 #[test]
-fn busy_reject_carries_hint_and_client_retries_through_it() {
-    // A server with a tiny queue and a stalled worker rejects as busy;
-    // the client's bounded backoff retries ride out the burst without
-    // surfacing the raw busy error. The hint is also parseable from
-    // the raw reject for load-adaptive clients.
-    use esr_net::{busy_retry_after_micros, is_busy_error};
-
-    let reject = "server busy (request queue full); retry-after-micros=2000";
-    assert!(is_busy_error(reject));
-    assert_eq!(busy_retry_after_micros(reject), Some(2000));
-
-    // End-to-end: a queue of depth 1 with one worker. Saturation is
-    // timing-dependent, so drive enough concurrent traffic that busy
-    // rejects are overwhelmingly likely, and assert nothing surfaces.
-    let table = CatalogConfig::default().build_with_values(&[0; 8]);
-    let server = Server::start(
-        Kernel::with_defaults(table),
-        ServerConfig {
-            workers: 1,
-            queue_capacity: 1,
-            ..ServerConfig::default()
-        },
-    );
-    let tcp = TcpServer::bind(server, "127.0.0.1:0").expect("bind loopback");
-    let mut handles = Vec::new();
-    for i in 0..4u64 {
-        let addr = tcp.local_addr();
-        handles.push(std::thread::spawn(move || {
-            let mut c = TcpConnection::connect_with(
-                addr,
-                NetClientConfig {
-                    call_attempts: 64, // deep enough to outlast the burst
-                    retry_backoff: Duration::from_millis(1),
-                    retry_seed: i,
-                    ..NetClientConfig::default()
-                },
-            )
-            .expect("connect");
-            // Each client owns one object, so timestamp-ordering
-            // conflicts cannot abort anything; the only adversity is
-            // the saturated queue.
-            for round in 0..20u32 {
-                c.begin(TxnKind::Update, TxnBounds::export(Limit::Unlimited))
-                    .unwrap();
-                c.write(ObjectId(i as u32), round as i64).unwrap();
-                c.commit().unwrap();
-            }
-            c.retries()
-        }));
+fn sixteen_clients_commit_without_a_resend() {
+    // Each connection's own thread runs its requests: nothing between
+    // the socket and the kernel can fill up, so the server neither
+    // refuses nor queues sixteen socket clients, and no request is ever
+    // sent twice.
+    const CLIENTS: u32 = 16;
+    const ROUNDS: u32 = 20;
+    let tcp = tcp_server_with(&[0; CLIENTS as usize], 1);
+    let handles: Vec<_> = (0..CLIENTS)
+        .map(|i| {
+            let addr = tcp.local_addr();
+            std::thread::spawn(move || {
+                let mut c = TcpConnection::connect(addr).expect("connect");
+                // Each client owns one object, so timestamp ordering
+                // has nothing to abort.
+                for round in 0..ROUNDS {
+                    c.begin(TxnKind::Update, TxnBounds::export(Limit::Unlimited))
+                        .unwrap();
+                    c.write(ObjectId(i), round as i64).unwrap();
+                    c.commit().unwrap();
+                }
+                c.retries()
+            })
+        })
+        .collect();
+    for h in handles {
+        assert_eq!(h.join().unwrap(), 0, "a request was resent");
     }
-    let total_retries: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    // With 4 clients hammering a depth-1 queue, at least some busy
-    // rejects are near-certain; but don't flake if the scheduler is
-    // kind — the invariant under test is that every commit succeeded.
     let stats = tcp.server().stats();
-    assert_eq!(stats.kernel.commits_update, 80);
-    assert_eq!(stats.retries, total_retries, "server counted each resend");
+    assert_eq!(stats.kernel.commits_update, (CLIENTS * ROUNDS) as u64);
+    assert_eq!(stats.retries, 0);
+}
+
+#[test]
+fn repeated_hello_on_one_socket_holds_one_site() {
+    // A site id per `Hello`, released only at disconnect, let one socket
+    // exhaust the 16-bit site space for everybody. A connection has one
+    // site; asking again answers with it.
+    use esr_net::frame::{encode_frame, FrameReader, MAX_FRAME};
+    use esr_net::{ReplyBody, RequestBody, WireReply, WireRequest};
+    use std::io::Write as _;
+
+    const HELLOS: u64 = 70_000;
+    const PIPELINED: u64 = 1_000;
+    let tcp = tcp_server_with(&[1], 2);
+    let mut raw = std::net::TcpStream::connect(tcp.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut replies = FrameReader::new(raw.try_clone().unwrap());
+    let mut site = None;
+    for chunk in 0..HELLOS / PIPELINED {
+        let ids = chunk * PIPELINED..(chunk + 1) * PIPELINED;
+        let mut frames = Vec::new();
+        for id in ids.clone() {
+            let hello = WireRequest {
+                id,
+                retry: false,
+                body: RequestBody::Hello,
+            };
+            encode_frame(&hello, MAX_FRAME, &mut frames).unwrap();
+        }
+        raw.write_all(&frames).unwrap();
+        for id in ids {
+            let reply: WireReply = replies.read().unwrap();
+            assert_eq!(reply.id, id);
+            match reply.body {
+                ReplyBody::Welcome { site: s } => assert_eq!(*site.get_or_insert(s), s),
+                other => panic!("Hello {id} answered with {other:?}"),
+            }
+        }
+    }
+    let other = client(&tcp);
+    assert_ne!(
+        Some(other.site().0),
+        site,
+        "two live connections, two sites"
+    );
+}
+
+#[test]
+fn a_peer_that_never_reads_delays_nobody_and_is_severed() {
+    // A connection's own thread may wait for its peer (here: four
+    // seconds a write); no other thread may. The peer parks a read behind
+    // another connection's write, then pipelines requests and reads
+    // nothing until its thread is stuck writing to it. The thread whose
+    // commit wakes the parked read must be free again at once — the
+    // reply is left for the stuck thread — and when that thread's wait
+    // runs out the connection is severed and its transaction rolled
+    // back.
+    use esr_net::frame::{encode_frame, write_frame, FrameReader, MAX_FRAME};
+    use esr_net::{NetServerConfig, ReplyBody, RequestBody, WireReply, WireRequest};
+    use esr_server::BeginReply;
+    use std::io::{Read as _, Write as _};
+
+    const OWN_THREAD_WAITS: Duration = Duration::from_secs(4);
+    const OTHERS_WAIT_AT_MOST: Duration = Duration::from_secs(1);
+    const FLOOD: u64 = 50_000;
+
+    let table = CatalogConfig::default().build_with_values(&[100]);
+    let server = Server::start(Kernel::with_defaults(table), ServerConfig::default());
+    let config = NetServerConfig {
+        write_timeout: Some(OWN_THREAD_WAITS),
+    };
+    let tcp = TcpServer::bind_with(server, "127.0.0.1:0", config).expect("bind loopback");
+    let mut writer = client(&tcp);
+    writer
+        .begin(TxnKind::Update, TxnBounds::export(Limit::ZERO))
+        .unwrap();
+    writer.write(ObjectId(0), 175).unwrap();
+
+    let mut raw = std::net::TcpStream::connect(tcp.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut replies = FrameReader::new(raw.try_clone().unwrap());
+    let mut call = |id: u64, body: RequestBody| -> ReplyBody {
+        let request = WireRequest {
+            id,
+            retry: false,
+            body,
+        };
+        write_frame(&mut raw, &request).unwrap();
+        replies.read::<WireReply>().unwrap().body
+    };
+    let ReplyBody::Welcome { site } = call(1, RequestBody::Hello) else {
+        panic!("no Welcome");
+    };
+    let ReplyBody::Time { micros } = call(2, RequestBody::TimeExchange) else {
+        panic!("no Time");
+    };
+    // A strict query stamped after the writer's update: its read of the
+    // uncommitted write parks.
+    let begin = RequestBody::Begin {
+        kind: TxnKind::Query,
+        bounds: TxnBounds::import(Limit::ZERO),
+        ts: esr_clock::Timestamp::new(micros + 1_000_000, esr_core::ids::SiteId(site)),
+    };
+    let ReplyBody::Begin(BeginReply::Started(txn)) = call(3, begin) else {
+        panic!("no Started");
+    };
+    let mut flood = Vec::new();
+    let read = RequestBody::Op {
+        txn,
+        op: Operation::Read(ObjectId(0)),
+    };
+    let parked = WireRequest {
+        id: 4,
+        retry: false,
+        body: read,
+    };
+    encode_frame(&parked, MAX_FRAME, &mut flood).unwrap();
+    // The retry flag makes the server count each request it gets to.
+    for id in 5..5 + FLOOD {
+        let stats = WireRequest {
+            id,
+            retry: true,
+            body: RequestBody::Stats,
+        };
+        encode_frame(&stats, MAX_FRAME, &mut flood).unwrap();
+    }
+    let mut flooder = raw.try_clone().unwrap();
+    let flooding = std::thread::spawn(move || flooder.write_all(&flood));
+
+    // Stuck: the thread has served some of the flood, not all of it, and
+    // serves no more.
+    let kernel = tcp.server().kernel();
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    let mut served = (0, 0);
+    loop {
+        std::thread::sleep(Duration::from_millis(200));
+        let now = tcp.server().stats().retries;
+        if now > 0 && (now, now) == served {
+            break;
+        }
+        served = (served.1, now);
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the peer's thread never blocked ({now} of {FLOOD} replies written)"
+        );
+    }
+    assert!(served.1 < FLOOD, "the flood fitted in the socket buffers");
+    assert_eq!(kernel.waitq_depth(), 1, "the peer's read is parked");
+
+    // The commit wakes the parked read on the writer's thread, before
+    // the commit's own reply goes out: the commit and the writer's next
+    // transaction show whether that thread waited.
+    let t0 = std::time::Instant::now();
+    writer.commit().unwrap();
+    writer
+        .begin(TxnKind::Query, TxnBounds::import(Limit::ZERO))
+        .unwrap();
+    assert_eq!(writer.read(ObjectId(0)).unwrap(), 175);
+    writer.commit().unwrap();
+    assert!(
+        t0.elapsed() < OTHERS_WAIT_AT_MOST,
+        "the committing thread waited {:?} for somebody else's peer",
+        t0.elapsed()
+    );
+
+    // The peer still reads nothing, so its own thread's wait runs out
+    // (a write that got part of a reply out before it timed out is
+    // followed by one that gets nothing out): the connection is severed
+    // and its transaction is gone. The woken read completed (its reply
+    // was left in the outbox of a connection that never took it); the
+    // query itself is reaped.
+    let deadline = t0 + 3 * OWN_THREAD_WAITS + Duration::from_secs(5);
+    while kernel.active_txns() != 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the stuck connection's transaction was never reaped"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // What the peer finds when it finally looks: the replies that were
+    // buffered for it, then the end of the connection.
+    let mut sink = vec![0u8; 1 << 16];
+    loop {
+        match raw.read(&mut sink) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("the stuck connection was not severed: {e}"),
+        }
+    }
+    let _ = flooding.join().unwrap();
+    assert_eq!(kernel.stats().reaped_txns, 1);
+    assert_eq!(kernel.table().lock(ObjectId(0)).value, 175);
+}
+
+#[test]
+fn two_transactions_on_one_socket_are_answered_from_two_threads_at_once() {
+    // The wire protocol lets a peer run several transactions on one
+    // socket. Here one of them has a read parked behind another
+    // connection's write while the other keeps the connection's own
+    // thread busy answering pipelined reads; the commit that wakes the
+    // parked read answers it from the committer's thread, in the middle
+    // of that. The peer reads all along, so it must get every reply and
+    // never be cut, round after round.
+    use esr_net::frame::{encode_frame, FrameReader, MAX_FRAME};
+    use esr_net::{ReplyBody, RequestBody, WireReply, WireRequest};
+    use esr_server::{BeginReply, EndReply};
+    use std::io::Write as _;
+    use std::sync::mpsc::{channel, Receiver};
+
+    const ROUNDS: u32 = 200;
+    const PIPELINED: u64 = 300;
+    const BACKGROUND: ObjectId = ObjectId(ROUNDS);
+
+    /// The multiplexing peer: requests go out on `raw`, and a thread of
+    /// its own reads every reply as it comes.
+    struct Peer {
+        raw: std::net::TcpStream,
+        replies: Receiver<WireReply>,
+        next_id: u64,
+    }
+    impl Peer {
+        /// Append a request to `out`; its correlation id.
+        fn frame(&mut self, body: RequestBody, out: &mut Vec<u8>) -> u64 {
+            self.next_id += 1;
+            let request = WireRequest {
+                id: self.next_id,
+                retry: false,
+                body,
+            };
+            encode_frame(&request, MAX_FRAME, out).unwrap();
+            self.next_id
+        }
+        fn next_reply(&self) -> WireReply {
+            self.replies
+                .recv_timeout(Duration::from_secs(20))
+                .expect("a peer that reads was cut, or a reply was never written")
+        }
+        fn call(&mut self, body: RequestBody) -> ReplyBody {
+            let mut out = Vec::new();
+            let id = self.frame(body, &mut out);
+            self.raw.write_all(&out).unwrap();
+            let reply = self.next_reply();
+            assert_eq!(reply.id, id);
+            reply.body
+        }
+        fn begin(&mut self, ts: esr_clock::Timestamp, bounds: TxnBounds) -> esr_core::ids::TxnId {
+            let kind = TxnKind::Query;
+            match self.call(RequestBody::Begin { kind, bounds, ts }) {
+                ReplyBody::Begin(BeginReply::Started(txn)) => txn,
+                other => panic!("no Started: {other:?}"),
+            }
+        }
+        fn commit(&mut self, txn: esr_core::ids::TxnId) {
+            let end = self.call(RequestBody::End { txn, commit: true });
+            assert!(matches!(end, ReplyBody::End(EndReply::Committed(_))));
+        }
+    }
+
+    let tcp = tcp_server_with(&[100; ROUNDS as usize + 1], 4);
+    let kernel = tcp.server().kernel();
+    let mut writer = client(&tcp);
+
+    let raw = std::net::TcpStream::connect(tcp.local_addr()).unwrap();
+    let (reply_tx, replies) = channel();
+    let reading = {
+        let mut frames = FrameReader::new(raw.try_clone().unwrap());
+        std::thread::spawn(move || {
+            while let Ok(reply) = frames.read::<WireReply>() {
+                if reply_tx.send(reply).is_err() {
+                    break;
+                }
+            }
+        })
+    };
+    let mut peer = Peer {
+        raw,
+        replies,
+        next_id: 0,
+    };
+    let ReplyBody::Welcome { site } = peer.call(RequestBody::Hello) else {
+        panic!("no Welcome");
+    };
+    let ReplyBody::Time { micros } = peer.call(RequestBody::TimeExchange) else {
+        panic!("no Time");
+    };
+    // Stamped well after anything the writer will stamp: every strict
+    // read below finds the writer's update older than itself, and waits.
+    let stamp = |n: u32| {
+        esr_clock::Timestamp::new(micros + 60_000_000 + n as u64, esr_core::ids::SiteId(site))
+    };
+    // The transaction that keeps the connection's own thread busy.
+    let busy = peer.begin(stamp(0), TxnBounds::import(Limit::Unlimited));
+
+    for round in 0..ROUNDS {
+        let contended = ObjectId(round);
+        writer
+            .begin(TxnKind::Update, TxnBounds::export(Limit::ZERO))
+            .unwrap();
+        writer.write(contended, 1_000 + round as i64).unwrap();
+        let strict = peer.begin(stamp(1 + round), TxnBounds::import(Limit::ZERO));
+
+        let mut burst = Vec::new();
+        let read = |txn, obj| RequestBody::Op {
+            txn,
+            op: Operation::Read(obj),
+        };
+        let parked = peer.frame(read(strict, contended), &mut burst);
+        for _ in 0..PIPELINED {
+            peer.frame(read(busy, BACKGROUND), &mut burst);
+        }
+        peer.raw.write_all(&burst).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        while kernel.waitq_depth() == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the read never parked"
+            );
+            std::thread::yield_now();
+        }
+        writer.commit().unwrap();
+
+        let mut woken = None;
+        for _ in 0..=PIPELINED {
+            let reply = peer.next_reply();
+            let ReplyBody::Op(OpReply::Value(v)) = reply.body else {
+                panic!("round {round}: {:?}", reply.body);
+            };
+            if reply.id == parked {
+                woken = Some(v);
+            } else {
+                assert_eq!(v, 100);
+            }
+        }
+        assert_eq!(woken, Some(1_000 + round as i64), "round {round}");
+        peer.commit(strict);
+    }
+    peer.commit(busy);
+
+    let stats = kernel.stats();
+    assert_eq!(stats.waits, ROUNDS as u64, "every strict read parked");
+    assert_eq!(stats.wakes, ROUNDS as u64);
+    assert_eq!(stats.reaped_txns, 0, "nobody was cut");
+    assert_eq!(stats.aborts(), 0);
+    drop(peer);
+    drop(tcp);
+    reading.join().unwrap();
 }

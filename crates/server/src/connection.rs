@@ -1,7 +1,7 @@
 //! A client connection: one site, one synchronous request stream.
 
-use crate::proto::{BeginReply, EndReply, OpReply, QueuedRequest, ReplySink, Request};
-use crossbeam::channel::{bounded, Sender};
+use crate::proto::{BeginReply, EndReply, OpReply, ReplySink, Request};
+use crossbeam::channel::{bounded, Receiver};
 use esr_clock::TimestampGenerator;
 use esr_core::ids::{ObjectId, TxnId, TxnKind};
 use esr_core::spec::TxnBounds;
@@ -13,26 +13,32 @@ use std::time::Duration;
 
 /// A client-side handle implementing [`Session`].
 ///
-/// Requests are synchronous: each call sends one request and blocks on
-/// its reply — exactly the paper's synchronous RPC. An operation that
-/// the server parks (strict-ordering wait) simply blocks this thread
-/// until a commit or abort releases it. The optional `rpc_latency`
-/// reproduces the paper's 17–20 ms per-call cost.
+/// Requests are synchronous: each call runs one request against the
+/// server on the calling thread ([`crate::RpcHandle::serve`], the path a
+/// socket request takes) and blocks on its reply — exactly the paper's
+/// synchronous RPC. An operation that the server parks (strict-ordering
+/// wait) simply blocks this thread until the commit or abort that
+/// releases it answers it from its own thread. The optional
+/// `rpc_latency` reproduces the paper's 17–20 ms per-call cost.
 pub struct Connection {
-    req_tx: Sender<QueuedRequest>,
+    serve: Serve,
     clock: Arc<TimestampGenerator>,
     rpc_latency: Option<Duration>,
     current: Option<TxnId>,
 }
 
+/// How a connection reaches its server: [`crate::RpcHandle::serve`],
+/// or a script in this module's tests.
+pub(crate) type Serve = Box<dyn Fn(Request) + Send + Sync>;
+
 impl Connection {
     pub(crate) fn new(
-        req_tx: Sender<QueuedRequest>,
+        serve: Serve,
         clock: Arc<TimestampGenerator>,
         rpc_latency: Option<Duration>,
     ) -> Self {
         Connection {
-            req_tx,
+            serve,
             clock,
             rpc_latency,
             current: None,
@@ -59,24 +65,22 @@ impl Connection {
         self.current.ok_or(SessionError::NoTransaction)
     }
 
-    fn submit_op(&mut self, op: Operation) -> Result<OpReply, SessionError> {
-        let txn = self.current()?;
-        let (tx, rx) = bounded(1);
-        self.req_tx
-            .send(
-                Request::Op {
-                    txn,
-                    op,
-                    reply: ReplySink::channel(tx),
-                }
-                .into(),
-            )
-            .map_err(|_| SessionError::Backend("server is down".into()))?;
-        let reply = rx
+    /// One synchronous RPC: run `req` and wait for the reply its sink
+    /// receives, now or when a parked operation is woken.
+    fn call<T>(&self, req: Request, reply: Receiver<T>) -> Result<T, SessionError> {
+        (self.serve)(req);
+        let reply = reply
             .recv()
             .map_err(|_| SessionError::Backend("server dropped the reply".into()))?;
         self.simulate_rpc();
         Ok(reply)
+    }
+
+    fn submit_op(&mut self, op: Operation) -> Result<OpReply, SessionError> {
+        let txn = self.current()?;
+        let (tx, rx) = bounded(1);
+        let reply = ReplySink::channel(tx);
+        self.call(Request::Op { txn, op, reply }, rx)
     }
 
     /// End the current transaction. `current` is cleared unless the
@@ -89,20 +93,8 @@ impl Connection {
     fn submit_end(&mut self, commit: bool) -> Result<EndReply, SessionError> {
         let txn = self.current()?;
         let (tx, rx) = bounded(1);
-        self.req_tx
-            .send(
-                Request::End {
-                    txn,
-                    commit,
-                    reply: ReplySink::channel(tx),
-                }
-                .into(),
-            )
-            .map_err(|_| SessionError::Backend("server is down".into()))?;
-        let reply = rx
-            .recv()
-            .map_err(|_| SessionError::Backend("server dropped the reply".into()))?;
-        self.simulate_rpc();
+        let reply = ReplySink::channel(tx);
+        let reply = self.call(Request::End { txn, commit, reply }, rx)?;
         if !matches!(reply, EndReply::Error(_)) {
             self.current = None;
         }
@@ -119,22 +111,13 @@ impl Session for Connection {
         }
         let ts = self.clock.next();
         let (tx, rx) = bounded(1);
-        self.req_tx
-            .send(
-                Request::Begin {
-                    kind,
-                    bounds,
-                    ts,
-                    reply: ReplySink::channel(tx),
-                }
-                .into(),
-            )
-            .map_err(|_| SessionError::Backend("server is down".into()))?;
-        let reply = rx
-            .recv()
-            .map_err(|_| SessionError::Backend("server dropped the reply".into()))?;
-        self.simulate_rpc();
-        match reply {
+        let begin = Request::Begin {
+            kind,
+            bounds,
+            ts,
+            reply: ReplySink::channel(tx),
+        };
+        match self.call(begin, rx)? {
             BeginReply::Started(id) => {
                 self.current = Some(id);
                 Ok(())
@@ -197,39 +180,33 @@ impl Session for Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use esr_clock::ManualTimeSource;
     use esr_core::bounds::Limit;
     use esr_core::ids::SiteId;
+    use parking_lot::Mutex;
 
     /// A scripted fake server: answers each request with the next reply
     /// from the script, so error paths the real kernel makes hard to
     /// reach (an `EndReply::Error`) are exercised deterministically.
     fn scripted_connection(script: Vec<ScriptReply>) -> Connection {
-        let (tx, rx) = unbounded::<QueuedRequest>();
-        std::thread::spawn(move || {
-            let mut script = script.into_iter();
-            while let Ok(q) = rx.recv() {
-                match (q.req, script.next()) {
-                    (Request::Begin { reply, .. }, Some(ScriptReply::Begin(r))) => {
-                        reply.send(r);
-                    }
-                    (Request::End { reply, .. }, Some(ScriptReply::End(r))) => {
-                        reply.send(r);
-                    }
-                    (Request::Op { reply, .. }, Some(ScriptReply::Op(r))) => {
-                        reply.send(r);
-                    }
-                    (_, None) => break,
-                    (req, Some(r)) => panic!("script mismatch: {req:?} vs {r:?}"),
-                }
+        let script = Mutex::new(script.into_iter());
+        let serve = move |req| match (req, script.lock().next()) {
+            (Request::Begin { reply, .. }, Some(ScriptReply::Begin(r))) => {
+                reply.send(r);
             }
-        });
+            (Request::End { reply, .. }, Some(ScriptReply::End(r))) => {
+                reply.send(r);
+            }
+            (Request::Op { reply, .. }, Some(ScriptReply::Op(r))) => {
+                reply.send(r);
+            }
+            (req, r) => panic!("script mismatch: {req:?} vs {r:?}"),
+        };
         let clock = Arc::new(TimestampGenerator::new(
             SiteId(1),
             Arc::new(ManualTimeSource::starting_at(1)),
         ));
-        Connection::new(tx, clock, None)
+        Connection::new(Box::new(serve), clock, None)
     }
 
     #[derive(Debug)]

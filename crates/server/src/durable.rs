@@ -1,5 +1,5 @@
 //! One-call boot of a *durable* server: recover, open the log, attach
-//! it to a kernel, and start the worker pool.
+//! it to a kernel, and start the server.
 //!
 //! `esr-tcpd --data-dir` and the crash-recovery tests share this path,
 //! so the recovery sequence under test is exactly the one the daemon

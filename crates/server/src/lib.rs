@@ -7,9 +7,10 @@
 //!
 //! This crate reproduces that system in-process: a [`server::Server`]
 //! owns the `esr-tso` kernel (which packages the scheduler, transaction
-//! manager, and data manager) and runs a pool of worker threads fed by a
-//! crossbeam channel — the moral equivalent of the paper's multithreaded
-//! RPC dispatch. Each [`connection::Connection`] is one client site:
+//! manager, and data manager) and serves each request on the thread
+//! that brings it ([`server::RpcHandle::serve`]) — as multithreaded as
+//! its callers, like the paper's RPC dispatch. Each
+//! [`connection::Connection`] is one client site:
 //! it carries its own (optionally skewed) clock, synchronised with the
 //! server through a correction factor exactly as §6 describes, and
 //! implements `esr-txn`'s [`esr_txn::Session`] so transaction programs
@@ -17,7 +18,7 @@
 //!
 //! The paper's synchronous RPC (null call ≈ 11 ms, average 17–20 ms) is
 //! modelled by an optional per-operation latency injected on the client
-//! side of the channel ([`server::ServerConfig::rpc_latency`]).
+//! side of the call ([`server::ServerConfig::rpc_latency`]).
 //!
 //! Operations that must wait (strict ordering) simply do not get their
 //! reply until a commit or abort wakes them — the client thread blocks
@@ -34,10 +35,10 @@ pub use durable::{start_durable, start_durable_with, RecoverySummary, CLOCK_EPOC
 pub use esr_storage::PageCacheSnapshot;
 pub use obs::{RequestKind, ServerObs};
 pub use proto::{
-    BeginReply, EndReply, MonitorSnapshot, NamedHistogram, OpReply, QueuedRequest, ReplicaPeerRow,
+    BeginReply, EndReply, MonitorSnapshot, NamedHistogram, OpReply, ReplicaPeerRow,
     ReplicationStats, ReplySink, Request, ServerStats, StatsReply, MAX_BATCH,
 };
 pub use server::{
-    build_server_stats, ConnectError, RpcHandle, Server, ServerConfig, SiteAllocator, SubmitError,
-    BATCH_FAILED, BATCH_TOO_LARGE, BUSY_ERROR, SHUTDOWN_ERROR,
+    build_server_stats, ConnectError, RpcHandle, Server, ServerConfig, SiteAllocator, BATCH_FAILED,
+    BATCH_TOO_LARGE, BUSY_ERROR, SHUTDOWN_ERROR,
 };

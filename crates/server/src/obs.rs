@@ -1,19 +1,20 @@
-//! Worker-pool observability: queue-wait vs. service time per request
-//! kind, and an in-flight gauge.
+//! Request observability: service time per request kind, and an
+//! in-flight gauge.
 //!
-//! Every request is stamped when it enters the worker channel
-//! ([`crate::proto::QueuedRequest`]); the worker that dequeues it
-//! records how long it sat (queue wait) and how long the worker spent
-//! on it (service time), bucketed by request kind. Together with the
-//! kernel's own histograms this separates the three places a
-//! transaction spends time: in the queue, in the kernel, and parked on
-//! a wait queue.
+//! A request is served by the thread that brought it — a socket's
+//! connection thread, or the caller of an in-process connection — and
+//! crosses no queue, so there is no queue wait to report. The serving
+//! thread records how long it spent on the request (service time,
+//! handing the reply to its sink included), bucketed by request kind.
+//! Together with the kernel's own histograms this separates the places
+//! a transaction spends time: in the server, in the kernel, and parked
+//! on a wait queue.
 
 use esr_obs::{Gauge, HistogramSnapshot, LatencyHistogram};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Which histogram pair a request lands in.
+/// Which histogram a request lands in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestKind {
     /// `Request::Begin`
@@ -26,18 +27,14 @@ pub enum RequestKind {
     End,
 }
 
-/// Always-on server instrumentation, shared by all workers.
+/// Always-on server instrumentation, shared by all serving threads.
 #[derive(Debug, Default)]
 pub struct ServerObs {
-    begin_queue_wait: LatencyHistogram,
     begin_service: LatencyHistogram,
-    op_queue_wait: LatencyHistogram,
     op_service: LatencyHistogram,
-    batch_queue_wait: LatencyHistogram,
     batch_service: LatencyHistogram,
-    end_queue_wait: LatencyHistogram,
     end_service: LatencyHistogram,
-    /// Requests currently being serviced by a worker.
+    /// Requests currently being serviced.
     in_flight: Gauge,
     /// Requests a client marked as resends (idempotent retries after a
     /// lost reply, a reconnect, or a busy-reject backoff). Counted by
@@ -52,19 +49,17 @@ impl ServerObs {
     }
 
     /// Record one serviced request.
-    pub fn record(&self, kind: RequestKind, queue_wait: Duration, service: Duration) {
-        let (qw, sv) = match kind {
-            RequestKind::Begin => (&self.begin_queue_wait, &self.begin_service),
-            RequestKind::Op => (&self.op_queue_wait, &self.op_service),
-            RequestKind::Batch => (&self.batch_queue_wait, &self.batch_service),
-            RequestKind::End => (&self.end_queue_wait, &self.end_service),
+    pub fn record(&self, kind: RequestKind, service: Duration) {
+        let hist = match kind {
+            RequestKind::Begin => &self.begin_service,
+            RequestKind::Op => &self.op_service,
+            RequestKind::Batch => &self.batch_service,
+            RequestKind::End => &self.end_service,
         };
-        qw.record_duration(queue_wait);
-        sv.record_duration(service);
+        hist.record_duration(service);
     }
 
-    /// The in-flight gauge (incremented while a worker services a
-    /// request).
+    /// The in-flight gauge (incremented while a request is serviced).
     pub fn in_flight(&self) -> &Gauge {
         &self.in_flight
     }
@@ -81,40 +76,14 @@ impl ServerObs {
 
     /// Snapshot all histograms as `(name, snapshot)` pairs.
     pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
-        vec![
-            (
-                "server_begin_queue_wait_micros".into(),
-                self.begin_queue_wait.snapshot(),
-            ),
-            (
-                "server_begin_service_micros".into(),
-                self.begin_service.snapshot(),
-            ),
-            (
-                "server_op_queue_wait_micros".into(),
-                self.op_queue_wait.snapshot(),
-            ),
-            (
-                "server_op_service_micros".into(),
-                self.op_service.snapshot(),
-            ),
-            (
-                "server_batch_queue_wait_micros".into(),
-                self.batch_queue_wait.snapshot(),
-            ),
-            (
-                "server_batch_service_micros".into(),
-                self.batch_service.snapshot(),
-            ),
-            (
-                "server_end_queue_wait_micros".into(),
-                self.end_queue_wait.snapshot(),
-            ),
-            (
-                "server_end_service_micros".into(),
-                self.end_service.snapshot(),
-            ),
+        [
+            ("server_begin_service_micros", &self.begin_service),
+            ("server_op_service_micros", &self.op_service),
+            ("server_batch_service_micros", &self.batch_service),
+            ("server_end_service_micros", &self.end_service),
         ]
+        .map(|(name, hist)| (name.to_owned(), hist.snapshot()))
+        .into()
     }
 }
 
@@ -125,11 +94,8 @@ mod tests {
     #[test]
     fn record_routes_by_kind() {
         let obs = ServerObs::new();
-        obs.record(
-            RequestKind::Op,
-            Duration::from_micros(5),
-            Duration::from_micros(50),
-        );
+        obs.record(RequestKind::Op, Duration::from_micros(50));
+        obs.record(RequestKind::End, Duration::from_micros(50));
         let hists = obs.histograms();
         let count_of = |name: &str| {
             hists
@@ -138,10 +104,9 @@ mod tests {
                 .map(|(_, s)| s.count)
                 .unwrap()
         };
-        assert_eq!(count_of("server_op_queue_wait_micros"), 1);
         assert_eq!(count_of("server_op_service_micros"), 1);
         assert_eq!(count_of("server_begin_service_micros"), 0);
-        assert_eq!(count_of("server_end_service_micros"), 0);
+        assert_eq!(count_of("server_end_service_micros"), 1);
     }
 
     #[test]

@@ -145,7 +145,7 @@ pub struct ServerStats {
     pub active_txns: u64,
     /// Operations parked on kernel wait queues right now (gauge).
     pub waitq_depth: u64,
-    /// Requests currently inside the worker pool (gauge).
+    /// Requests currently being served (gauge).
     pub in_flight: i64,
     /// Client-marked request resends observed by the transport
     /// (idempotent retries after lost replies, reconnects, or busy
@@ -176,9 +176,8 @@ pub struct ServerStats {
     /// servers.
     #[serde(default)]
     pub replication: Option<ReplicationStats>,
-    /// All latency histograms: per-request-kind queue wait and service
-    /// time from the workers, plus the kernel's op-service, park-wait,
-    /// and txn-latency distributions.
+    /// All latency histograms: per-request-kind service time, plus the
+    /// kernel's op-service, park-wait, and txn-latency distributions.
     pub histograms: Vec<NamedHistogram>,
 }
 
@@ -205,8 +204,8 @@ pub enum StatsReply {
 ///
 /// The in-process [`crate::Connection`] blocks on a bounded channel; a
 /// network transport instead registers a *hook* that frames the reply
-/// onto the right socket with its correlation id. Workers and the
-/// parked-operation table route replies through this type without
+/// onto the right socket with its correlation id. Serving threads and
+/// the parked-operation table route replies through this type without
 /// knowing which kind of client is on the other end.
 pub enum ReplySink<T> {
     /// Reply over an in-process channel (the receiver blocks on it).
@@ -302,47 +301,17 @@ pub enum Request {
         /// Reply sink.
         reply: ReplySink<StatsReply>,
     },
-    /// Stop the receiving worker (one token is sent per worker at
-    /// shutdown).
-    Shutdown,
 }
 
 /// Upper bound on operations per [`Request::Batch`]. Keeps a single
 /// frame's work (and its reply vector) bounded; transports reject
-/// larger batches before they reach the queue.
+/// larger batches before they reach the kernel.
 pub const MAX_BATCH: usize = 1024;
 
-/// A request stamped with its enqueue instant, so workers can report
-/// queue wait separately from service time. This is what actually
-/// travels on the server's request channel.
-#[derive(Debug)]
-pub struct QueuedRequest {
-    /// The request.
-    pub req: Request,
-    /// When it entered the queue.
-    pub queued_at: std::time::Instant,
-}
-
-impl QueuedRequest {
-    /// Stamp `req` as enqueued now.
-    pub fn now(req: Request) -> Self {
-        QueuedRequest {
-            req,
-            queued_at: std::time::Instant::now(),
-        }
-    }
-}
-
-impl From<Request> for QueuedRequest {
-    fn from(req: Request) -> Self {
-        QueuedRequest::now(req)
-    }
-}
-
 impl Request {
-    /// Answer a request that will never reach a worker (shutdown drain,
-    /// transport submitting after shutdown) with an explicit error
-    /// instead of a dropped channel.
+    /// Answer a request that will not be served (shutdown drain, a
+    /// request arriving after shutdown) with an explicit error instead
+    /// of a dropped channel.
     pub fn reject(self, reason: &str) {
         match self {
             Request::Begin { reply, .. } => {
@@ -360,7 +329,6 @@ impl Request {
             Request::Stats { reply } => {
                 reply.send(StatsReply::Error(reason.to_owned()));
             }
-            Request::Shutdown => {}
         }
     }
 }
@@ -446,7 +414,5 @@ mod tests {
         }
         .reject("closing");
         assert_eq!(erx.recv().unwrap(), EndReply::Error("closing".into()));
-
-        Request::Shutdown.reject("closing"); // no sink; must not panic
     }
 }

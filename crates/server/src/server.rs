@@ -4,17 +4,15 @@ use crate::connection::Connection;
 use crate::obs::{RequestKind, ServerObs};
 use crate::proto::MAX_BATCH;
 use crate::proto::{
-    BeginReply, EndReply, NamedHistogram, OpReply, QueuedRequest, ReplySink, Request, ServerStats,
-    StatsReply,
+    BeginReply, EndReply, NamedHistogram, OpReply, ReplySink, Request, ServerStats, StatsReply,
 };
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use esr_clock::{
     CorrectionFactor, ManualTimeSource, SkewedSource, SystemTimeSource, TimeSource,
     TimestampGenerator,
 };
 use esr_core::ids::{SiteId, TxnId};
 use esr_tso::{AbortReason, Kernel, KernelError, OpOutcome, PendingOp};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -25,8 +23,12 @@ use std::time::{Duration, Instant};
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads servicing requests (the paper's multithreaded
-    /// server).
+    /// Ignored. The server has no worker pool any more: every request,
+    /// from a socket or from an in-process [`Connection`], runs on the
+    /// thread that issued it ([`RpcHandle::serve`]), so the server is as
+    /// multithreaded as its callers. The field stays only because the
+    /// benchmark harness (`benchmark/`, frozen) names it; it goes when
+    /// the harness stops doing so.
     pub workers: usize,
     /// Synchronous per-operation latency injected at the client side of
     /// the channel, modelling the paper's RPC (≈17–20 ms there). `None`
@@ -36,12 +38,6 @@ pub struct ServerConfig {
     /// Use a virtual (manually driven) reference clock instead of the
     /// wall clock. Tests use this for determinism.
     pub virtual_time: bool,
-    /// Capacity of the request queue feeding the worker pool. When the
-    /// queue is full, in-process connections block (natural
-    /// backpressure) and transports get an explicit busy reject via
-    /// [`RpcHandle::submit`] instead of growing an unbounded queue
-    /// until memory runs out. Values below 1 are treated as 1.
-    pub queue_capacity: usize,
     /// How often the reaper thread advances the kernel lease clock and
     /// aborts expired transactions. Only relevant when the kernel was
     /// built with `lease_micros > 0` (no reaper thread is spawned
@@ -79,7 +75,6 @@ impl Default for ServerConfig {
             workers: 4,
             rpc_latency: None,
             virtual_time: false,
-            queue_capacity: 1024,
             reap_interval: Duration::from_millis(50),
             clock_epoch_micros: 0,
             checkpoint_interval: None,
@@ -92,8 +87,11 @@ impl Default for ServerConfig {
 /// The error text used when shutdown answers requests it cannot serve.
 pub const SHUTDOWN_ERROR: &str = "server shut down";
 
-/// The error text used when the bounded request queue is full and a
-/// transport-submitted request is rejected instead of queued.
+/// The stable prefix of a busy reject: the request was refused for a
+/// transient reason and may be resent after a back-off. Today only a
+/// replica sends it, for a read its budget cannot cover until the
+/// replica has caught up (the text predates that and is matched by
+/// deployed clients, so it stays).
 pub const BUSY_ERROR: &str = "server busy (request queue full)";
 
 /// Hands out site ids, erroring (instead of silently wrapping) when the
@@ -195,11 +193,11 @@ impl std::error::Error for ConnectError {}
 const SHARD_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Shards in the parked-reply map. Fixed: the map is touched once per
-/// park/wake, so 16 shards is already far beyond the worker count.
+/// park/wake, so 16 shards keep concurrent serving threads apart.
 const PENDING_SHARDS: usize = 16;
 
 /// Reply sinks of operations currently parked on kernel wait queues,
-/// sharded by `TxnId` hash so a wake serviced on one worker does not
+/// sharded by `TxnId` hash so a wake serviced on one thread does not
 /// contend with parks and completions on the others. Each entry lives
 /// in exactly one shard (its transaction's); no path ever holds two
 /// shard locks at once.
@@ -244,14 +242,12 @@ impl PendingShards {
 
 type PendingReplies = Arc<PendingShards>;
 
-/// The server: owns the kernel, dispatches requests to workers, and
-/// routes wakeups back to the blocked clients.
+/// The server: owns the kernel, serves requests on the threads that
+/// bring them, and routes wakeups back to the blocked clients.
 pub struct Server {
-    kernel: Arc<Kernel>,
-    req_tx: Option<Sender<QueuedRequest>>,
-    req_rx: Option<Receiver<QueuedRequest>>,
-    pending: PendingReplies,
-    workers: Vec<JoinHandle<()>>,
+    /// The kernel and everything a request needs besides it; what
+    /// [`Server::rpc_handle`] clones.
+    rpc: RpcHandle,
     /// The lease reaper thread, present only when the kernel has leases
     /// enabled. Stopped via `reaper_stop` + unpark on shutdown.
     reaper: Option<JoinHandle<()>>,
@@ -261,11 +257,8 @@ pub struct Server {
     /// Stopped via `checkpointer_stop` + unpark on shutdown.
     checkpointer: Option<JoinHandle<()>>,
     checkpointer_stop: Arc<std::sync::atomic::AtomicBool>,
-    reference: Arc<dyn TimeSource>,
     manual: Option<ManualTimeSource>,
-    sites: Arc<SiteAllocator>,
     config: ServerConfig,
-    obs: Arc<ServerObs>,
 }
 
 impl Server {
@@ -295,37 +288,28 @@ impl Server {
         // server reference clock, so a virtual-time server stays
         // deterministic with obs on.
         kernel.enable_obs_with_clock(Arc::clone(&reference));
-        let obs = Arc::new(ServerObs::new());
-        let (req_tx, req_rx) = bounded::<QueuedRequest>(config.queue_capacity.max(1));
-        let pending: PendingReplies = Arc::new(PendingShards::new());
-        let mut workers = Vec::with_capacity(config.workers.max(1));
-        for i in 0..config.workers.max(1) {
-            let rx = req_rx.clone();
-            let k = Arc::clone(&kernel);
-            let p = Arc::clone(&pending);
-            let o = Arc::clone(&obs);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("esr-server-worker-{i}"))
-                    .spawn(move || worker_loop(rx, k, p, o))
-                    .expect("spawn server worker"),
-            );
-        }
+        let rpc = RpcHandle {
+            sites: Arc::new(SiteAllocator::new()),
+            reference,
+            kernel,
+            pending: Arc::new(PendingShards::new()),
+            obs: Arc::new(ServerObs::new()),
+            down: Arc::new(RwLock::new(false)),
+        };
+        let (kernel, reference) = (&rpc.kernel, &rpc.reference);
         let reaper_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let reaper = if kernel.config().lease_micros > 0 {
             // Seed the lease clock before any transaction can begin, so
             // the first leases are measured from a real instant rather
             // than from zero.
             kernel.set_now(reference.raw_micros());
-            let k = Arc::clone(&kernel);
-            let p = Arc::clone(&pending);
-            let r = Arc::clone(&reference);
+            let rpc = rpc.clone();
             let stop = Arc::clone(&reaper_stop);
             let interval = config.reap_interval.max(Duration::from_millis(1));
             Some(
                 std::thread::Builder::new()
                     .name("esr-server-reaper".into())
-                    .spawn(move || reaper_loop(k, p, r, stop, interval))
+                    .spawn(move || reaper_loop(rpc, stop, interval))
                     .expect("spawn server reaper"),
             )
         } else {
@@ -334,7 +318,7 @@ impl Server {
         let checkpointer_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let checkpointer = match (kernel.durability(), config.checkpoint_interval) {
             (Some(_), Some(interval)) => {
-                let k = Arc::clone(&kernel);
+                let k = Arc::clone(kernel);
                 let stop = Arc::clone(&checkpointer_stop);
                 let interval = interval.max(Duration::from_millis(1));
                 Some(
@@ -347,39 +331,32 @@ impl Server {
             _ => None,
         };
         Server {
-            kernel,
-            req_tx: Some(req_tx),
-            req_rx: Some(req_rx),
-            pending,
-            workers,
+            rpc,
             reaper,
             reaper_stop,
             checkpointer,
             checkpointer_stop,
-            reference,
             manual,
-            sites: Arc::new(SiteAllocator::new()),
             config,
-            obs,
         }
     }
 
     /// The kernel (stats, table inspection).
     pub fn kernel(&self) -> &Arc<Kernel> {
-        &self.kernel
+        &self.rpc.kernel
     }
 
-    /// The worker-pool instrumentation (queue wait, service time,
-    /// in-flight gauge).
+    /// The request instrumentation (queue wait, service time, in-flight
+    /// gauge).
     pub fn obs(&self) -> &Arc<ServerObs> {
-        &self.obs
+        &self.rpc.obs
     }
 
     /// The full live snapshot: kernel counters, gauges, and every
     /// latency histogram. The same data a remote client obtains through
-    /// a `Stats` request, built directly (no worker round-trip).
+    /// a `Stats` request.
     pub fn stats(&self) -> ServerStats {
-        build_server_stats(&self.kernel, &self.obs)
+        build_server_stats(&self.rpc.kernel, &self.rpc.obs)
     }
 
     /// The manually driven reference clock, when `virtual_time` is on.
@@ -408,57 +385,47 @@ impl Server {
 
     /// Fallible variant of [`Server::connect_with_skew`].
     pub fn try_connect_with_skew(&self, skew_micros: i64) -> Result<Connection, ConnectError> {
-        let req_tx = self
-            .req_tx
-            .as_ref()
-            .ok_or(ConnectError::ServerDown)?
-            .clone();
-        let site = self.sites.alloc().ok_or(ConnectError::SitesExhausted)?;
+        if *self.rpc.down.read() {
+            return Err(ConnectError::ServerDown);
+        }
+        let site = self.rpc.alloc_site()?;
         // A site clock (epoch base + skew) rather than a bare skew: a
         // negatively skewed reading of the young reference would
         // saturate at zero and freeze the site's clock entirely.
         let skewed: Arc<dyn TimeSource> = Arc::new(SkewedSource::site_clock(
-            Arc::clone(&self.reference),
+            Arc::clone(&self.rpc.reference),
             skew_micros,
         ));
         // The time exchange of the correction protocol: zero modelled
         // round trip because the "network" is an in-process channel.
         // Best-of-8 sampling bounds the error a preemption between the
         // two clock reads could otherwise inject.
-        let cf = CorrectionFactor::estimate_best_of(&skewed, &self.reference, 8);
+        let cf = CorrectionFactor::estimate_best_of(&skewed, &self.rpc.reference, 8);
         let generator = TimestampGenerator::with_correction(site, skewed, cf);
+        let rpc = self.rpc.clone();
         Ok(Connection::new(
-            req_tx,
+            Box::new(move |req| rpc.serve(req)),
             Arc::new(generator),
             self.config.rpc_latency,
         ))
     }
 
-    /// A handle a network transport uses to feed requests into the
-    /// worker pool and serve the connection handshake (site allocation,
-    /// reference-clock reads for correction-factor exchanges).
+    /// A handle a network transport uses to run requests against the
+    /// kernel ([`RpcHandle::serve`]) and to serve the connection
+    /// handshake (site allocation, reference-clock reads for
+    /// correction-factor exchanges).
     pub fn rpc_handle(&self) -> RpcHandle {
-        RpcHandle {
-            req_tx: self.req_tx.as_ref().expect("server not shut down").clone(),
-            sites: Arc::clone(&self.sites),
-            reference: Arc::clone(&self.reference),
-            kernel: Arc::clone(&self.kernel),
-            pending: Arc::clone(&self.pending),
-            obs: Arc::clone(&self.obs),
-        }
+        self.rpc.clone()
     }
 
-    /// Stop accepting requests and join the workers. Called by `Drop`;
-    /// explicit shutdown lets callers assert quiescence first.
+    /// Stop serving requests. Called by `Drop`; explicit shutdown lets
+    /// callers assert quiescence first.
     ///
-    /// Live connections do not block shutdown: each worker is stopped by
-    /// a dedicated token (connections hold channel senders, so waiting
-    /// for channel disconnection would deadlock). Once the workers have
-    /// exited, every request still queued behind the tokens is answered
-    /// with an explicit [`SHUTDOWN_ERROR`], and every operation parked
-    /// on a kernel wait queue receives the same error through its
-    /// registered reply sink — clients see a reported failure, not a
-    /// silently dropped channel.
+    /// Live connections do not block shutdown beyond the request each
+    /// has in service. Every request that arrives from now on and every
+    /// operation parked on a kernel wait queue is answered with an
+    /// explicit [`SHUTDOWN_ERROR`] through its reply sink — clients see
+    /// a reported failure, not a silently dropped channel.
     pub fn shutdown(&mut self) {
         self.reaper_stop
             .store(true, std::sync::atomic::Ordering::Relaxed);
@@ -472,39 +439,22 @@ impl Server {
             ckpt.thread().unpark();
             let _ = ckpt.join();
         }
-        if let Some(tx) = self.req_tx.take() {
-            for _ in 0..self.workers.len() {
-                let _ = tx.send(QueuedRequest::now(Request::Shutdown));
-            }
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        if let Some(rx) = self.req_rx.take() {
-            drain_requests(&rx);
-        }
-        for (_, sink) in self.pending.drain() {
+        // Taking the gate exclusively waits out every request in service,
+        // on whichever thread: past this line nothing commits or parks,
+        // so the drain of parked sinks below is final and the last
+        // checkpoint sees every commit.
+        *self.rpc.down.write() = true;
+        for (_, sink) in self.rpc.pending.drain() {
             sink.send(OpReply::Error(SHUTDOWN_ERROR.to_owned()));
         }
-        // Durable shutdown, after the workers are gone and nothing can
-        // commit: write a final checkpoint (the next boot recovers
+        // Durable shutdown, now that nothing can commit: write a final checkpoint (the next boot recovers
         // without replay) and join the WAL flusher thread.
-        if let Some(d) = self.kernel.durability() {
-            if let Err(e) = self.kernel.checkpoint() {
+        if let Some(d) = self.rpc.kernel.durability() {
+            if let Err(e) = self.rpc.kernel.checkpoint() {
                 eprintln!("esr-server: final checkpoint failed: {e}");
             }
             d.sink().shutdown_sink();
         }
-    }
-}
-
-/// Answer every request still sitting in the queue with an explicit
-/// shutdown error. Runs after the workers have exited, so nothing races
-/// the drain; requests arriving *after* the drain observe a dropped
-/// channel exactly as before.
-fn drain_requests(rx: &Receiver<QueuedRequest>) {
-    while let Ok(q) = rx.try_recv() {
-        q.req.reject(SHUTDOWN_ERROR);
     }
 }
 
@@ -514,46 +464,117 @@ impl Drop for Server {
     }
 }
 
-/// A transport's doorway into a running server: submits requests and
-/// answers the connection handshake. Cloneable; each network listener
-/// holds one.
+/// The doorway into a running server: runs requests against the kernel
+/// on the caller's thread and answers the connection handshake.
+/// Cloneable; each network listener holds one, and so does every
+/// in-process [`Connection`].
 #[derive(Clone)]
 pub struct RpcHandle {
-    req_tx: Sender<QueuedRequest>,
     sites: Arc<SiteAllocator>,
     reference: Arc<dyn TimeSource>,
     kernel: Arc<Kernel>,
     pending: PendingReplies,
     obs: Arc<ServerObs>,
-}
-
-/// Why [`RpcHandle::submit`] could not queue a request. The request is
-/// handed back in either case so the caller can answer it through its
-/// own reply sink.
-#[derive(Debug)]
-pub enum SubmitError {
-    /// The bounded request queue is at capacity — the server is
-    /// overloaded. Transient: the client may retry after backoff.
-    Busy(Request),
-    /// The server has shut down. Permanent.
-    Down(Request),
+    /// `true` once shutdown has begun. [`RpcHandle::serve`] holds it
+    /// shared for the length of a request, so [`Server::shutdown`],
+    /// which takes it exclusively, waits for the requests in service.
+    down: Arc<RwLock<bool>>,
 }
 
 impl RpcHandle {
-    /// Queue a request for the worker pool without blocking. A full
-    /// queue yields [`SubmitError::Busy`] (overload degrades into
-    /// explicit rejects, not unbounded memory growth) and a shut-down
-    /// server yields [`SubmitError::Down`].
-    // The Err payload is deliberately the whole request — the caller
-    // needs it back to reject it through its own reply sink.
-    #[allow(clippy::result_large_err)]
-    pub fn submit(&self, req: Request) -> Result<(), SubmitError> {
-        self.req_tx
-            .try_send(QueuedRequest::now(req))
-            .map_err(|e| match e {
-                TrySendError::Full(q) => SubmitError::Busy(q.req),
-                TrySendError::Disconnected(q) => SubmitError::Down(q.req),
-            })
+    /// Run `req` to completion on the calling thread: the one execution
+    /// path of the server, called by an in-process [`Connection`] on its
+    /// user's thread and by a network transport's connection threads for
+    /// everything that arrives on a socket.
+    ///
+    /// The reply goes to the request's sink, from this thread unless the
+    /// operation parks; a parked operation is answered by whichever
+    /// thread later wakes it, and this call returns without it. A
+    /// committing `End` on a durable server blocks here until its log
+    /// record is synced — that is what gathers concurrent commits into
+    /// one group-commit fsync, one per serving thread. Once the server
+    /// is shut down every request is answered [`SHUTDOWN_ERROR`].
+    pub fn serve(&self, req: Request) {
+        let down = self.down.read();
+        if *down {
+            drop(down);
+            req.reject(SHUTDOWN_ERROR);
+            return;
+        }
+        let (kernel, pending) = (&self.kernel, &self.pending);
+        let kind = match &req {
+            Request::Begin { .. } => Some(RequestKind::Begin),
+            Request::Op { .. } => Some(RequestKind::Op),
+            Request::Batch { .. } => Some(RequestKind::Batch),
+            Request::End { .. } => Some(RequestKind::End),
+            Request::Stats { .. } => None,
+        };
+        self.obs.in_flight().inc();
+        let service_start = Instant::now();
+        match req {
+            Request::Begin {
+                kind,
+                bounds,
+                ts,
+                reply,
+            } => {
+                let id = kernel.begin(kind, bounds, ts);
+                reply.send(BeginReply::Started(id));
+            }
+            Request::Op { txn, op, reply } => {
+                dispatch_op(kernel, pending, PendingOp { txn, op }, reply);
+            }
+            Request::Batch { txn, ops, reply } => {
+                drive_batch(kernel, pending, txn, ops, reply);
+            }
+            Request::End { txn, commit, reply } => {
+                let result = if commit {
+                    kernel.commit(txn)
+                } else {
+                    kernel.abort(txn)
+                };
+                match result {
+                    Ok(end) => {
+                        let answer = match end.info {
+                            Some(info) => EndReply::Committed(info),
+                            None => EndReply::Aborted,
+                        };
+                        // Durability gate: the commit's redo record
+                        // must be fsynced before the client is told
+                        // "committed". Blocking here is what batches
+                        // concurrent commits into one group-commit
+                        // fsync. Woken waiters are drained first: they
+                        // make progress during the wait, and never
+                        // depend on how fast this request's own client
+                        // takes its reply.
+                        drain_woken(kernel, pending, end.woken);
+                        if let (Some(seq), Some(d)) = (end.durable_seq, kernel.durability()) {
+                            d.sink().sync_to(seq);
+                        }
+                        reply.send(answer);
+                    }
+                    // Unknown is typed, not stringly: the client must
+                    // learn the transaction is permanently gone (a lost
+                    // commit reply followed by a retry lands here) so it
+                    // can drop its handle instead of retrying forever.
+                    Err(KernelError::UnknownTxn(t)) => {
+                        reply.send(EndReply::Unknown(t));
+                    }
+                    Err(e) => {
+                        reply.send(EndReply::Error(e.to_string()));
+                    }
+                }
+            }
+            Request::Stats { reply } => {
+                reply.send(StatsReply::Stats(Box::new(build_server_stats(
+                    kernel, &self.obs,
+                ))));
+            }
+        }
+        if let Some(kind) = kind {
+            self.obs.record(kind, service_start.elapsed());
+        }
+        self.obs.in_flight().dec();
     }
 
     /// Allocate a site id for a new remote connection.
@@ -563,7 +584,7 @@ impl RpcHandle {
 
     /// Return a remote connection's site id for reuse once the
     /// connection is gone. Transports call this when a connection's
-    /// reader exits so churn does not exhaust the 16-bit id space.
+    /// thread exits so churn does not exhaust the 16-bit id space.
     pub fn release_site(&self, site: SiteId) {
         self.sites.release(site);
     }
@@ -605,19 +626,13 @@ impl RpcHandle {
 
 /// The reaper thread: periodically advance the kernel lease clock from
 /// the server reference clock and abort expired transactions. Runs
-/// outside the worker pool so reaping keeps working when the request
-/// queue is saturated — exactly the overload situation in which stalled
+/// on a thread of its own so reaping keeps working when every serving
+/// thread is busy — exactly the overload situation in which stalled
 /// clients must not pin kernel state.
-fn reaper_loop(
-    kernel: Arc<Kernel>,
-    pending: PendingReplies,
-    reference: Arc<dyn TimeSource>,
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    interval: Duration,
-) {
+fn reaper_loop(rpc: RpcHandle, stop: Arc<std::sync::atomic::AtomicBool>, interval: Duration) {
     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-        kernel.set_now(reference.raw_micros());
-        reap_expired_txns(&kernel, &pending);
+        rpc.kernel.set_now(rpc.reference.raw_micros());
+        reap_expired_txns(&rpc.kernel, &rpc.pending);
         std::thread::park_timeout(interval);
     }
 }
@@ -642,10 +657,9 @@ fn answer_reaped(pending: &PendingReplies, txn: TxnId) {
     }
 }
 
-/// Assemble the live snapshot from the kernel and worker
+/// Assemble the live snapshot from the kernel and request
 /// instrumentation. Public so transports (the metrics endpoint) can
-/// build the same snapshot from the cloneable `Arc`s without a worker
-/// round-trip.
+/// build the same snapshot from the cloneable `Arc`s.
 pub fn build_server_stats(kernel: &Kernel, obs: &ServerObs) -> ServerStats {
     let mut histograms: Vec<NamedHistogram> = obs
         .histograms()
@@ -710,98 +724,6 @@ fn checkpoint_loop(
     }
 }
 
-fn worker_loop(
-    rx: Receiver<QueuedRequest>,
-    kernel: Arc<Kernel>,
-    pending: PendingReplies,
-    obs: Arc<ServerObs>,
-) {
-    while let Ok(q) = rx.recv() {
-        let queue_wait = q.queued_at.elapsed();
-        let kind = match &q.req {
-            Request::Begin { .. } => Some(RequestKind::Begin),
-            Request::Op { .. } => Some(RequestKind::Op),
-            Request::Batch { .. } => Some(RequestKind::Batch),
-            Request::End { .. } => Some(RequestKind::End),
-            Request::Stats { .. } | Request::Shutdown => None,
-        };
-        obs.in_flight().inc();
-        let service_start = Instant::now();
-        let stop = matches!(q.req, Request::Shutdown);
-        match q.req {
-            Request::Begin {
-                kind,
-                bounds,
-                ts,
-                reply,
-            } => {
-                let id = kernel.begin(kind, bounds, ts);
-                reply.send(BeginReply::Started(id));
-            }
-            Request::Op { txn, op, reply } => {
-                dispatch_op(&kernel, &pending, PendingOp { txn, op }, reply);
-            }
-            Request::Batch { txn, ops, reply } => {
-                drive_batch(&kernel, &pending, txn, ops, reply);
-            }
-            Request::End { txn, commit, reply } => {
-                let result = if commit {
-                    kernel.commit(txn)
-                } else {
-                    kernel.abort(txn)
-                };
-                match result {
-                    Ok(end) => {
-                        // Durability gate: the commit's redo record
-                        // must be fsynced before the client is told
-                        // "committed". Blocking here is what batches
-                        // concurrent commits into one group-commit
-                        // fsync; woken waiters are drained first so
-                        // they make progress during the wait.
-                        if let (Some(seq), Some(d)) = (end.durable_seq, kernel.durability()) {
-                            drain_woken(&kernel, &pending, end.woken);
-                            d.sink().sync_to(seq);
-                            reply.send(match end.info {
-                                Some(info) => EndReply::Committed(info),
-                                None => EndReply::Aborted,
-                            });
-                        } else {
-                            reply.send(match end.info {
-                                Some(info) => EndReply::Committed(info),
-                                None => EndReply::Aborted,
-                            });
-                            drain_woken(&kernel, &pending, end.woken);
-                        }
-                    }
-                    // Unknown is typed, not stringly: the client must
-                    // learn the transaction is permanently gone (a lost
-                    // commit reply followed by a retry lands here) so it
-                    // can drop its handle instead of retrying forever.
-                    Err(KernelError::UnknownTxn(t)) => {
-                        reply.send(EndReply::Unknown(t));
-                    }
-                    Err(e) => {
-                        reply.send(EndReply::Error(e.to_string()));
-                    }
-                }
-            }
-            Request::Stats { reply } => {
-                reply.send(StatsReply::Stats(Box::new(build_server_stats(
-                    &kernel, &obs,
-                ))));
-            }
-            Request::Shutdown => {}
-        }
-        if let Some(kind) = kind {
-            obs.record(kind, queue_wait, service_start.elapsed());
-        }
-        obs.in_flight().dec();
-        if stop {
-            break;
-        }
-    }
-}
-
 fn send_outcome(reply: ReplySink<OpReply>, outcome: OpOutcome) {
     reply.send(match outcome {
         OpOutcome::Value(v) => OpReply::Value(v),
@@ -815,7 +737,7 @@ fn send_outcome(reply: ReplySink<OpReply>, outcome: OpOutcome) {
 /// and service any operations the submission itself woke.
 ///
 /// The reply sink is registered in `pending` *before* the kernel call:
-/// if the kernel parks the operation, a commit on another worker may
+/// if the kernel parks the operation, a commit on another thread may
 /// wake and complete it before this call even returns, and that wake
 /// path must find the sink. While an operation is parked its entry
 /// stays in the map; it is removed exactly once, by whichever path
@@ -829,6 +751,9 @@ fn dispatch_op(
     pending.insert(op.txn, reply);
     match kernel.resume(op) {
         Ok(resp) => {
+            // Waiters first, as at `End`: they never depend on how fast
+            // this operation's own client takes its reply.
+            drain_woken(kernel, pending, resp.woken);
             if resp.outcome != OpOutcome::Wait {
                 // Not parked, so no concurrent wake could have consumed
                 // the entry: it must still be present.
@@ -836,7 +761,6 @@ fn dispatch_op(
                     send_outcome(reply, resp.outcome);
                 }
             }
-            drain_woken(kernel, pending, resp.woken);
         }
         Err(e) => {
             if let Some(reply) = pending.remove(op.txn) {
@@ -878,7 +802,7 @@ pub const BATCH_FAILED: &str = "earlier operation in batch failed";
 /// The error text answering a batch larger than [`MAX_BATCH`].
 pub const BATCH_TOO_LARGE: &str = "batch exceeds MAX_BATCH operations";
 
-/// In-flight state of one pipelined batch, shared between the worker
+/// In-flight state of one pipelined batch, shared between the thread
 /// that drives it and the wake hooks of any operation that parks.
 struct BatchState {
     txn: TxnId,
@@ -906,9 +830,9 @@ struct BatchState {
 /// and answer with one correlated reply per operation.
 ///
 /// An operation that parks suspends the batch; its wake (serviced by
-/// whichever worker commits the blocking writer) resumes driving via
+/// whichever thread commits the blocking writer) resumes driving via
 /// the hook registered in `pending`, so a suspended batch never holds
-/// a worker thread. An abort or error fails the remaining operations
+/// a serving thread. An abort or error fails the remaining operations
 /// without submitting them.
 fn drive_batch(
     kernel: &Arc<Kernel>,
@@ -933,7 +857,7 @@ fn drive_batch(
 }
 
 /// Drive `state` until its batch completes or parks. Called by the
-/// worker that dequeued the batch and, after a park, by the wake hook
+/// thread that serves the batch and, after a park, by the wake hook
 /// of the parked operation; the `driving` flag guarantees the two
 /// never run concurrently.
 fn run_batch(kernel: &Arc<Kernel>, pending: &PendingReplies, state: &Arc<Mutex<BatchState>>) {
@@ -993,7 +917,7 @@ fn run_batch(kernel: &Arc<Kernel>, pending: &PendingReplies, state: &Arc<Mutex<B
         let mut s = state.lock();
         if s.replies.len() == completed_before {
             // Parked: hand driving over to the wake hook and release
-            // this worker for other requests.
+            // this thread for other requests.
             s.driving = false;
             return;
         }
@@ -1003,9 +927,6 @@ fn run_batch(kernel: &Arc<Kernel>, pending: &PendingReplies, state: &Arc<Mutex<B
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::{bounded, unbounded};
-    use esr_core::ids::ObjectId;
-    use esr_tso::Operation;
 
     #[test]
     fn site_allocator_is_dense_from_one() {
@@ -1064,36 +985,5 @@ mod tests {
         a.release(SiteId(1));
         assert_eq!(a.alloc(), Some(SiteId(1)));
         assert_eq!(a.alloc(), Some(SiteId(3)));
-    }
-
-    #[test]
-    fn queued_requests_are_rejected_explicitly_on_drain() {
-        let (tx, rx) = unbounded::<QueuedRequest>();
-        let (op_tx, op_rx) = bounded(1);
-        let (end_tx, end_rx) = bounded(1);
-        tx.send(
-            Request::Op {
-                txn: TxnId(7),
-                op: Operation::Read(ObjectId(0)),
-                reply: ReplySink::channel(op_tx),
-            }
-            .into(),
-        )
-        .unwrap();
-        tx.send(
-            Request::End {
-                txn: TxnId(7),
-                commit: true,
-                reply: ReplySink::channel(end_tx),
-            }
-            .into(),
-        )
-        .unwrap();
-        drain_requests(&rx);
-        assert_eq!(op_rx.recv().unwrap(), OpReply::Error(SHUTDOWN_ERROR.into()));
-        assert_eq!(
-            end_rx.recv().unwrap(),
-            EndReply::Error(SHUTDOWN_ERROR.into())
-        );
     }
 }

@@ -1,13 +1,13 @@
-//! Integration tests for the pipelined `Request::Batch` path and the
-//! bounded request queue's explicit busy rejection.
+//! Integration tests for the pipelined `Request::Batch` path, driven
+//! through `RpcHandle::serve` the way a transport's connection thread
+//! drives it.
 
 use crossbeam::channel::bounded;
 use esr_core::bounds::Limit;
 use esr_core::ids::{ObjectId, TxnId, TxnKind};
 use esr_core::spec::TxnBounds;
 use esr_server::{
-    OpReply, ReplySink, Request, Server, ServerConfig, SubmitError, BATCH_FAILED, BATCH_TOO_LARGE,
-    BUSY_ERROR, MAX_BATCH,
+    OpReply, ReplySink, Request, Server, ServerConfig, BATCH_FAILED, BATCH_TOO_LARGE, MAX_BATCH,
 };
 use esr_storage::catalog::CatalogConfig;
 use esr_tso::{Kernel, Operation};
@@ -19,17 +19,15 @@ fn server_with(values: &[i64], config: ServerConfig) -> Server {
     Server::start(Kernel::with_defaults(table), config)
 }
 
-/// Submit a batch through the transport handle and wait for its reply.
+/// Serve a batch on this thread through the transport handle and wait
+/// for its reply.
 fn run_batch(server: &Server, txn: TxnId, ops: Vec<Operation>) -> Vec<OpReply> {
     let (tx, rx) = bounded(1);
-    server
-        .rpc_handle()
-        .submit(Request::Batch {
-            txn,
-            ops,
-            reply: ReplySink::channel(tx),
-        })
-        .expect("submit batch");
+    server.rpc_handle().serve(Request::Batch {
+        txn,
+        ops,
+        reply: ReplySink::channel(tx),
+    });
     rx.recv().expect("batch reply")
 }
 
@@ -123,17 +121,11 @@ fn batch_error_fails_remaining_ops_without_submitting_them() {
 }
 
 #[test]
-fn batch_with_parked_op_resumes_on_wake_without_holding_a_worker() {
-    // A single worker: if a parked batch held its worker thread, the
-    // commit that must wake it could never be serviced and this test
-    // would deadlock.
-    let server = server_with(
-        &[100, 200],
-        ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        },
-    );
+fn batch_with_parked_op_resumes_on_wake_without_holding_its_thread() {
+    // `serve` runs on this thread: if a parked batch held the thread
+    // that serves it, `serve` would not return and the commit below,
+    // which must wake it, would never be sent.
+    let server = server_with(&[100, 200], ServerConfig::default());
     let mut writer = server.connect();
     writer
         .begin(TxnKind::Update, TxnBounds::export(Limit::ZERO))
@@ -148,19 +140,15 @@ fn batch_with_parked_op_resumes_on_wake_without_holding_a_worker() {
     // Op 1 completes; op 2 parks on the uncommitted write; op 3 runs
     // only after the wake.
     let (tx, rx) = bounded(1);
-    server
-        .rpc_handle()
-        .submit(Request::Batch {
-            txn,
-            ops: vec![
-                Operation::Read(ObjectId(1)),
-                Operation::Read(ObjectId(0)),
-                Operation::Read(ObjectId(1)),
-            ],
-            reply: ReplySink::channel(tx),
-        })
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(100));
+    server.rpc_handle().serve(Request::Batch {
+        txn,
+        ops: vec![
+            Operation::Read(ObjectId(1)),
+            Operation::Read(ObjectId(0)),
+            Operation::Read(ObjectId(1)),
+        ],
+        reply: ReplySink::channel(tx),
+    });
     assert!(
         rx.try_recv().is_err(),
         "batch reply must be withheld while an op is parked"
@@ -197,61 +185,4 @@ impl<T: Send + 'static> RecvTimeoutLike<T> for crossbeam::channel::Receiver<T> {
             }
         }
     }
-}
-
-#[test]
-fn full_request_queue_rejects_with_busy() {
-    // One worker, a one-slot queue. Wedge the worker by giving its
-    // request a pre-filled bounded(1) reply channel: the reply send
-    // blocks until this test drains it.
-    let server = server_with(
-        &[100],
-        ServerConfig {
-            workers: 1,
-            queue_capacity: 1,
-            ..ServerConfig::default()
-        },
-    );
-    let rpc = server.rpc_handle();
-    let (wedge_tx, wedge_rx) = bounded::<OpReply>(1);
-    wedge_tx.send(OpReply::Written).unwrap(); // fill the reply slot
-    rpc.submit(Request::Op {
-        txn: TxnId(999_999), // unknown: answered with an error reply
-        op: Operation::Read(ObjectId(0)),
-        reply: ReplySink::channel(wedge_tx),
-    })
-    .expect("first submit fits the queue");
-    // Wait for the worker to dequeue it and block on the reply send.
-    std::thread::sleep(Duration::from_millis(100));
-
-    // Fill the (now empty) queue slot …
-    let (fill_tx, fill_rx) = bounded::<OpReply>(4);
-    rpc.submit(Request::Op {
-        txn: TxnId(999_998),
-        op: Operation::Read(ObjectId(0)),
-        reply: ReplySink::channel(fill_tx),
-    })
-    .expect("second submit fits the queue");
-
-    // … and the next submission must be rejected as busy, handing the
-    // request back so the transport can answer it explicitly.
-    let (busy_tx, busy_rx) = bounded::<OpReply>(1);
-    match rpc.submit(Request::Op {
-        txn: TxnId(999_997),
-        op: Operation::Read(ObjectId(0)),
-        reply: ReplySink::channel(busy_tx),
-    }) {
-        Err(SubmitError::Busy(req)) => req.reject(BUSY_ERROR),
-        other => panic!("expected Busy, got {other:?}"),
-    }
-    assert_eq!(
-        busy_rx.recv().unwrap(),
-        OpReply::Error(BUSY_ERROR.to_owned())
-    );
-
-    // Unwedge the worker so shutdown can drain cleanly.
-    assert_eq!(wedge_rx.recv().unwrap(), OpReply::Written);
-    assert!(matches!(wedge_rx.recv().unwrap(), OpReply::Error(_)));
-    assert!(matches!(fill_rx.recv().unwrap(), OpReply::Error(_)));
-    drop(server);
 }

@@ -174,7 +174,7 @@ fn periodic_checkpoints_bound_replay() {
 }
 
 /// Watchdog regression for shutdown joins: dropping a server with every
-/// background thread alive — workers, lease reaper, checkpointer, WAL
+/// background thread alive — lease reaper, checkpointer, WAL
 /// group-commit flusher — must terminate promptly. A hung join (e.g. a
 /// stop flag checked before the park instead of after, or a flusher
 /// waiting on a condvar nobody signals) trips the watchdog instead of
@@ -209,7 +209,7 @@ fn drop_joins_every_background_thread_within_watchdog() {
         c.write(ObjectId(0), 1).unwrap();
         c.commit().unwrap();
         drop(c);
-        drop(server); // must join reaper + checkpointer + workers + WAL
+        drop(server); // must join reaper + checkpointer + WAL
         done_tx.send(()).unwrap();
     });
     done_rx

@@ -1,16 +1,17 @@
 //! Loom model of the pipelined-batch driving-flag hand-off.
 //!
 //! A parked batch's `BatchState.driving` flag arbitrates between two
-//! threads: the worker that dispatched the parking operation (checking
-//! "did my op complete?" after `dispatch_op` returns) and the worker
-//! whose commit/abort fires the parked op's wake hook. The hook must
+//! threads: the one that dispatched the parking operation (checking
+//! "did my op complete?" after `dispatch_op` returns) and the one whose
+//! commit/abort fires the parked op's wake hook. The hook must
 //! take over driving exactly when the original driver has parked the
 //! batch (`driving == false`), and merely record its reply when it
 //! races the driver's check — two drivers running `run_batch`
 //! concurrently would double-submit operations and double-send the
-//! reply. The model races the blocking writer's end against the batch
-//! driver on a two-worker server and asserts one complete, in-order
-//! reply set.
+//! reply. The model races the blocking writer's end, served on the
+//! writer's thread, against the batch driver, a thread of the test's own
+//! calling `RpcHandle::serve` as a transport's connection thread does,
+//! and asserts one complete, in-order reply set.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"`; run via the `loom`
 //! stage of `ci.sh`.
@@ -20,21 +21,15 @@ use crossbeam::channel::bounded;
 use esr_core::bounds::Limit;
 use esr_core::ids::{ObjectId, TxnKind};
 use esr_core::spec::TxnBounds;
-use esr_server::{OpReply, ReplySink, Request, Server, ServerConfig, SubmitError};
+use esr_server::{OpReply, ReplySink, Request, Server, ServerConfig};
 use esr_storage::catalog::CatalogConfig;
 use esr_tso::{Kernel, Operation};
 use esr_txn::Session;
 use std::time::Duration;
 
-fn two_worker_server(values: &[i64]) -> Server {
+fn server_with(values: &[i64]) -> Server {
     let table = CatalogConfig::default().build_with_values(values);
-    Server::start(
-        Kernel::with_defaults(table),
-        ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        },
-    )
+    Server::start(Kernel::with_defaults(table), ServerConfig::default())
 }
 
 /// `recv` with a coarse deadline so a lost hand-off fails the model
@@ -52,21 +47,27 @@ fn recv_within<T>(rx: &crossbeam::channel::Receiver<T>, timeout: Duration) -> T 
     }
 }
 
+/// Serve a batch on a thread of its own. The reply arrives on the
+/// channel once every op has completed; the thread ends when `serve`
+/// returns, with the batch answered or parked.
 fn submit_batch(
     server: &Server,
     txn: esr_core::ids::TxnId,
     ops: Vec<Operation>,
-) -> crossbeam::channel::Receiver<Vec<OpReply>> {
+) -> (
+    crossbeam::channel::Receiver<Vec<OpReply>>,
+    loom::thread::JoinHandle<()>,
+) {
     let (tx, rx) = bounded(1);
-    match server.rpc_handle().submit(Request::Batch {
-        txn,
-        ops,
-        reply: ReplySink::channel(tx),
-    }) {
-        Ok(()) => rx,
-        Err(SubmitError::Busy(_)) => panic!("two-worker queue cannot be busy here"),
-        Err(other) => panic!("submit batch: {other:?}"),
-    }
+    let rpc = server.rpc_handle();
+    let serving = loom::thread::spawn(move || {
+        rpc.serve(Request::Batch {
+            txn,
+            ops,
+            reply: ReplySink::channel(tx),
+        })
+    });
+    (rx, serving)
 }
 
 /// The committing writer's wake races the batch driver's park check.
@@ -75,7 +76,7 @@ fn submit_batch(
 #[test]
 fn commit_wake_hands_off_driving_exactly_once() {
     loom::model(|| {
-        let server = two_worker_server(&[100, 200]);
+        let server = server_with(&[100, 200]);
         let mut writer = server.connect();
         writer
             .begin(TxnKind::Update, TxnBounds::export(Limit::ZERO))
@@ -90,7 +91,7 @@ fn commit_wake_hands_off_driving_exactly_once() {
         // Op 2 parks on the uncommitted write iff it is dispatched
         // before the commit lands; both orders are valid schedules and
         // must converge on the same replies.
-        let rx = submit_batch(
+        let (rx, serving) = submit_batch(
             &server,
             txn,
             vec![
@@ -101,6 +102,7 @@ fn commit_wake_hands_off_driving_exactly_once() {
         );
         loom::explore();
         writer.commit().unwrap();
+        serving.join().expect("the serving thread panicked");
 
         let replies = recv_within(&rx, Duration::from_secs(10));
         assert_eq!(
@@ -126,7 +128,7 @@ fn commit_wake_hands_off_driving_exactly_once() {
 #[test]
 fn abort_wake_hands_off_driving_exactly_once() {
     loom::model(|| {
-        let server = two_worker_server(&[100, 200]);
+        let server = server_with(&[100, 200]);
         let mut writer = server.connect();
         writer
             .begin(TxnKind::Update, TxnBounds::export(Limit::ZERO))
@@ -138,13 +140,14 @@ fn abort_wake_hands_off_driving_exactly_once() {
             .begin(TxnKind::Query, TxnBounds::import(Limit::ZERO))
             .unwrap();
         let txn = reader.current_txn().unwrap();
-        let rx = submit_batch(
+        let (rx, serving) = submit_batch(
             &server,
             txn,
             vec![Operation::Read(ObjectId(0)), Operation::Read(ObjectId(1))],
         );
         loom::explore();
         writer.abort().unwrap();
+        serving.join().expect("the serving thread panicked");
 
         let replies = recv_within(&rx, Duration::from_secs(10));
         assert_eq!(

@@ -287,20 +287,14 @@ fn server_shutdown_disconnects_clients() {
 }
 
 #[test]
-fn parked_reads_are_woken_by_a_commit_processed_on_another_worker() {
-    // One parked reader per object; the single End request that frees
-    // them all is processed by exactly one of the four workers, so most
-    // wakeups must cross workers: the committing worker drains the wait
-    // queues and replies on channels belonging to operations other
-    // workers parked.
+fn parked_reads_are_woken_by_a_commit_processed_on_another_thread() {
+    // One parked reader per object, each parked by its own thread; the
+    // single End request that frees them all runs on the writer's
+    // thread, so every wakeup crosses threads: the committing thread
+    // drains the wait queues and replies on channels belonging to
+    // operations other threads parked.
     const OBJS: u32 = 6;
-    let server = server_with(
-        &[100; OBJS as usize],
-        ServerConfig {
-            workers: 4,
-            ..ServerConfig::default()
-        },
-    );
+    let server = server_with(&[100; OBJS as usize], ServerConfig::default());
     let mut writer = server.connect();
     writer
         .begin(TxnKind::Update, TxnBounds::export(Limit::ZERO))
@@ -488,4 +482,79 @@ fn orphan_reap_releases_transactions_and_wakes_waiters() {
     assert_eq!(server.kernel().stats().reaped_txns, 1);
     assert_eq!(server.kernel().active_txns(), 0);
     assert!(server.kernel().table().is_quiescent());
+}
+
+#[test]
+fn serve_after_shutdown_answers_the_shutdown_error() {
+    use crossbeam::channel::bounded;
+    use esr_server::{BeginReply, ReplySink, Request, StatsReply};
+
+    let mut server = server_with(&[100], ServerConfig::default());
+    let rpc = server.rpc_handle();
+    server.shutdown();
+    let (tx, rx) = bounded(1);
+    rpc.serve(Request::Begin {
+        kind: TxnKind::Query,
+        bounds: TxnBounds::import(Limit::ZERO),
+        ts: esr_clock::Timestamp::ZERO,
+        reply: ReplySink::channel(tx),
+    });
+    assert_eq!(
+        rx.recv().unwrap(),
+        BeginReply::Error(SHUTDOWN_ERROR.to_owned())
+    );
+    let (tx, rx) = bounded(1);
+    rpc.serve(Request::Stats {
+        reply: ReplySink::channel(tx),
+    });
+    assert_eq!(
+        rx.recv().unwrap(),
+        StatsReply::Error(SHUTDOWN_ERROR.to_owned())
+    );
+    assert_eq!(server.kernel().active_txns(), 0, "nothing began");
+}
+
+#[test]
+fn shutdown_waits_for_the_request_in_service() {
+    use crossbeam::channel::bounded;
+    use esr_server::{BeginReply, ReplySink, Request};
+
+    // A transport's thread is inside `serve`, delivering a reply, when
+    // shutdown starts. Shutdown must not get past it: until `serve`
+    // returns the request may still commit or park.
+    let mut server = server_with(&[100], ServerConfig::default());
+    let rpc = server.rpc_handle();
+    let (in_service_tx, in_service_rx) = bounded(1);
+    let (release_tx, release_rx) = bounded::<()>(1);
+    let serving = std::thread::spawn(move || {
+        rpc.serve(Request::Begin {
+            kind: TxnKind::Query,
+            bounds: TxnBounds::import(Limit::ZERO),
+            ts: esr_clock::Timestamp::ZERO,
+            reply: ReplySink::hook(move |r| {
+                in_service_tx.send(r).unwrap();
+                release_rx.recv().unwrap();
+            }),
+        })
+    });
+    assert!(matches!(
+        in_service_rx.recv().unwrap(),
+        BeginReply::Started(_)
+    ));
+    let (down_tx, down_rx) = std::sync::mpsc::channel();
+    let stopping = std::thread::spawn(move || {
+        server.shutdown();
+        down_tx.send(()).unwrap();
+        server
+    });
+    assert!(
+        down_rx.recv_timeout(Duration::from_millis(200)).is_err(),
+        "shutdown returned with a request still in service"
+    );
+    release_tx.send(()).unwrap();
+    serving.join().unwrap();
+    down_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown completes once the request has");
+    drop(stopping.join().unwrap());
 }

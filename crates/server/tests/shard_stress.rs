@@ -1,6 +1,6 @@
 //! Multi-threaded stress over the sharded kernel: many driver threads
 //! hammering a tiny hot-key set through in-process connections, so
-//! parks, wakes, cross-worker commits, and abort-retries all race
+//! parks, wakes, cross-thread commits, and abort-retries all race
 //! across registry and wait-queue shards. The monotonic counters must
 //! balance exactly and every queue must drain — lost wakeups,
 //! double-completions, or leaked registry entries all break the
@@ -53,13 +53,7 @@ fn stress_hot_keys_across_shards_preserves_invariants() {
             ..KernelConfig::default()
         },
     );
-    let server = Server::start(
-        kernel,
-        ServerConfig {
-            workers: 4,
-            ..ServerConfig::default()
-        },
-    );
+    let server = Server::start(kernel, ServerConfig::default());
 
     let attempted = Arc::new(AtomicU64::new(0));
     let committed = Arc::new(AtomicU64::new(0));

@@ -45,7 +45,7 @@
 //! Eviction and write-back run under the shard lock, so a logical page
 //! has at most one frame and at most one write-back at any instant;
 //! the kernel's one-object-lock-per-thread discipline bounds pinned
-//! frames by the worker count. Miss-path I/O happens under the shard
+//! frames by the number of threads serving requests. Miss-path I/O happens under the shard
 //! lock — a deliberate simplicity trade: misses on *other* shards
 //! proceed unhindered.
 //!

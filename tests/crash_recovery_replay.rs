@@ -63,7 +63,6 @@ fn boot(dir: &std::path::Path) -> (Server, u64) {
         Server::start(
             kernel,
             ServerConfig {
-                workers: 2,
                 clock_epoch_micros: rec.max_ts_ticks + 1_000_000,
                 ..ServerConfig::default()
             },

@@ -71,6 +71,20 @@ if [[ "${1:-}" != "quick" ]]; then
     echo "==> durability: cargo test -p esr-storage --release -q"
     timeout 600 cargo test -p esr-storage --release -q
 fi
+# Streaming checkpoints: the codec's hand-written container headers and
+# the checkpoint suite (format pinned byte for byte against the one-shot
+# encoding, every truncation and bit flip of a valid file, CRC-valid
+# forgeries, .tmp removal on failure) with the rest of the WAL's unit
+# tests (among them the flusher's latched I/O failure),
+# then the memory bound measured on a process of its own — 10 000
+# objects with full rings must checkpoint within 4 MiB of peak RSS and
+# recover within file size + 4 MiB (release: it times nothing, but the
+# allocator's behaviour is the release profile's).
+echo "==> checkpoints: codec stream helpers, format pin, hostile bytes"
+cargo test -p esr-core -q codec::
+cargo test -p esr-storage -q wal::
+echo "==> checkpoints: memory bound (own process, /proc/self/status)"
+timeout 300 cargo test --release -p esr-storage --test checkpoint_memory
 echo "==> chaos: process-kill crash recovery (esr-tcpd)"
 timeout 600 cargo test -p esr-net --test crash_recovery -q
 echo "==> chaos: post-crash histories replay clean"

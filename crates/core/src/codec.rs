@@ -153,15 +153,16 @@ fn encode_content(c: &Content, out: &mut Vec<u8>) {
     }
 }
 
-fn take_str(buf: &[u8], pos: &mut usize) -> Result<String, CodecError> {
+/// Read one length-prefixed UTF-8 string (a `TAG_STR` body or a map
+/// key), borrowed from `buf`. The length is checked against the bytes
+/// present before anything is sliced.
+pub fn take_key<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a str, CodecError> {
     let len = get_varint(buf, pos)? as usize;
     let end = pos
         .checked_add(len)
         .filter(|&e| e <= buf.len())
         .ok_or_else(|| err("truncated string"))?;
-    let s = std::str::from_utf8(&buf[*pos..end])
-        .map_err(|_| err("invalid UTF-8"))?
-        .to_owned();
+    let s = std::str::from_utf8(&buf[*pos..end]).map_err(|_| err("invalid UTF-8"))?;
     *pos = end;
     Ok(s)
 }
@@ -188,7 +189,7 @@ fn decode_content(buf: &[u8], pos: &mut usize, depth: usize) -> Result<Content, 
             *pos = end;
             Content::F64(f64::from_le_bytes(bytes))
         }
-        TAG_STR => Content::Str(take_str(buf, pos)?),
+        TAG_STR => Content::Str(take_key(buf, pos)?.to_owned()),
         TAG_SEQ => {
             let n = get_varint(buf, pos)? as usize;
             // Each element costs at least one byte; cap before reserving.
@@ -212,7 +213,7 @@ fn decode_content(buf: &[u8], pos: &mut usize, depth: usize) -> Result<Content, 
             }
             let mut entries = Vec::with_capacity(n.min(MAX_PREALLOC));
             for _ in 0..n {
-                let k = take_str(buf, pos)?;
+                let k = take_key(buf, pos)?.to_owned();
                 let v = decode_content(buf, pos, depth + 1)?;
                 entries.push((k, v));
             }
@@ -239,14 +240,77 @@ pub fn encode_into<T: Serialize>(value: &T, out: &mut Vec<u8>) {
 /// Deserialize a payload produced by [`to_bytes`].
 pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, CodecError> {
     let mut pos = 0;
-    let content = decode_content(bytes, &mut pos, 0)?;
+    let value = decode_next(bytes, &mut pos)?;
     if pos != bytes.len() {
         return Err(err(format!(
             "{} trailing bytes after value",
             bytes.len() - pos
         )));
     }
-    T::from_content(&content).map_err(|e| err(e.to_string()))
+    Ok(value)
+}
+
+// ---------------------------------------------------------------------------
+// Streaming: container headers written and read by hand
+// ---------------------------------------------------------------------------
+//
+// A message too large to build as one value (the resident checkpoint is
+// the whole table) is written as hand-emitted map/sequence headers with
+// one [`encode_into`] per element in between, and read back the same
+// way with one [`decode_next`] per element. The bytes are exactly what
+// [`to_bytes`] of the whole value would be.
+
+/// Open a map of `entries` entries; each entry is a [`put_key`]
+/// followed by one encoded value.
+pub fn put_map_header(out: &mut Vec<u8>, entries: usize) {
+    out.push(TAG_MAP);
+    put_varint(out, entries as u64);
+}
+
+/// Open a sequence of `items` encoded values.
+pub fn put_seq_header(out: &mut Vec<u8>, items: usize) {
+    out.push(TAG_SEQ);
+    put_varint(out, items as u64);
+}
+
+/// A map entry's key (a struct's field name).
+pub fn put_key(out: &mut Vec<u8>, key: &str) {
+    put_varint(out, key.len() as u64);
+    out.extend_from_slice(key.as_bytes());
+}
+
+fn take_header(buf: &[u8], pos: &mut usize, tag: u8, what: &str) -> Result<usize, CodecError> {
+    match buf.get(*pos) {
+        Some(&t) if t == tag => *pos += 1,
+        Some(_) => return Err(err(format!("expected a {what}"))),
+        None => return Err(err("truncated tag")),
+    }
+    usize::try_from(get_varint(buf, pos)?).map_err(|_| err(format!("{what} length overflows")))
+}
+
+/// Read a map header. The entry count is the writer's *claim*: a
+/// streaming caller holds only a window of the message, so it — not
+/// this function — must check the claim against the bytes that are
+/// really there before reserving anything.
+pub fn take_map_header(buf: &[u8], pos: &mut usize) -> Result<usize, CodecError> {
+    take_header(buf, pos, TAG_MAP, "map")
+}
+
+/// Read a sequence header; the count is a claim, as for
+/// [`take_map_header`].
+pub fn take_seq_header(buf: &[u8], pos: &mut usize) -> Result<usize, CodecError> {
+    take_header(buf, pos, TAG_SEQ, "sequence")
+}
+
+/// Decode the one value that starts at `*pos` and advance past it:
+/// [`from_bytes`] for an element of a stream. Only that element's
+/// subtree is ever built.
+pub fn decode_next<T: Deserialize>(buf: &[u8], pos: &mut usize) -> Result<T, CodecError> {
+    let mut end = *pos;
+    let content = decode_content(buf, &mut end, 0)?;
+    let value = T::from_content(&content).map_err(|e| err(e.to_string()))?;
+    *pos = end;
+    Ok(value)
 }
 
 #[cfg(test)]
@@ -327,6 +391,67 @@ mod tests {
     fn honest_sequences_longer_than_the_prealloc_cap_decode() {
         let big: Vec<u64> = (0..(MAX_PREALLOC as u64 * 4)).collect();
         round_trip(big);
+    }
+
+    #[test]
+    fn streamed_containers_are_the_bytes_of_the_whole_value() {
+        let rows: Vec<Vec<i64>> = vec![vec![1, -2], vec![], vec![300]];
+        let mut seq = Vec::new();
+        put_seq_header(&mut seq, rows.len());
+        for row in &rows {
+            encode_into(row, &mut seq);
+        }
+        assert_eq!(seq, to_bytes(&rows));
+
+        let map: std::collections::BTreeMap<String, u64> =
+            [("a".to_string(), 1), ("next_txn".to_string(), 1 << 40)].into();
+        let mut streamed = Vec::new();
+        put_map_header(&mut streamed, map.len());
+        for (k, v) in &map {
+            put_key(&mut streamed, k);
+            encode_into(v, &mut streamed);
+        }
+        assert_eq!(streamed, to_bytes(&map));
+
+        // And back, an element at a time.
+        let mut pos = 0;
+        assert_eq!(take_seq_header(&seq, &mut pos).unwrap(), 3);
+        for row in &rows {
+            assert_eq!(&decode_next::<Vec<i64>>(&seq, &mut pos).unwrap(), row);
+        }
+        assert_eq!(pos, seq.len());
+        let mut pos = 0;
+        assert_eq!(take_map_header(&streamed, &mut pos).unwrap(), 2);
+        assert_eq!(take_key(&streamed, &mut pos).unwrap(), "a");
+        assert_eq!(decode_next::<u64>(&streamed, &mut pos).unwrap(), 1);
+        assert_eq!(take_key(&streamed, &mut pos).unwrap(), "next_txn");
+        assert_eq!(decode_next::<u64>(&streamed, &mut pos).unwrap(), 1 << 40);
+        assert_eq!(pos, streamed.len());
+    }
+
+    #[test]
+    fn stream_readers_refuse_wrong_tags_truncation_and_forged_key_lengths() {
+        let seq = to_bytes(&vec![7u64]);
+        assert!(take_map_header(&seq, &mut 0).is_err(), "a sequence");
+        assert!(take_seq_header(&[], &mut 0).is_err(), "empty");
+        assert!(take_seq_header(&[TAG_SEQ, 0x80], &mut 0).is_err(), "cut");
+        // A header's count is returned as claimed, not believed.
+        let mut forged = vec![TAG_SEQ];
+        put_varint(&mut forged, u64::MAX);
+        assert_eq!(take_seq_header(&forged, &mut 0).unwrap() as u64, u64::MAX);
+        // A key length beyond the buffer is an error before any slice.
+        let mut key = Vec::new();
+        put_varint(&mut key, u64::MAX);
+        key.extend_from_slice(b"seq");
+        assert!(take_key(&key, &mut 0).is_err());
+        // A failed element leaves the position where it was, so a
+        // caller holding a partial window can refill and retry.
+        let whole = to_bytes(&vec![1u64, 2, 3]);
+        let mut pos = 0;
+        assert!(decode_next::<Vec<u64>>(&whole[..whole.len() - 1], &mut pos).is_err());
+        assert_eq!(pos, 0);
+        assert!(decode_next::<String>(&whole, &mut pos).is_err(), "shape");
+        assert_eq!(pos, 0);
     }
 
     #[test]

@@ -93,7 +93,7 @@ use esr_net::{
     ConformanceMonitor, MetricsServer, MonitorConfig, ReplicaConfig, ReplicaNode, ReplicaServer,
     ReplicationHub, StatsSource, TcpServer,
 };
-use esr_server::{build_server_stats, start_durable_with, Server, ServerConfig, ServerStats};
+use esr_server::{build_server_stats, start_durable_with, Server, ServerConfig};
 use esr_storage::catalog::CatalogConfig;
 use esr_storage::wal::WalOptions;
 use esr_tso::{Kernel, KernelConfig};
@@ -414,10 +414,7 @@ fn run_replica(addr: &str, metrics_addr: Option<&str>, cfg: ReplicaConfig) -> ! 
     );
     let _metrics = metrics_addr.map(|maddr| {
         let stats_node = Arc::clone(&node);
-        let source: StatsSource = Arc::new(move || ServerStats {
-            replication: Some(stats_node.replication_stats()),
-            ..ServerStats::default()
-        });
+        let source: StatsSource = Arc::new(move || stats_node.server_stats());
         match MetricsServer::bind(maddr, source) {
             Ok(m) => {
                 println!("esr-tcpd metrics on http://{}/metrics", m.local_addr());

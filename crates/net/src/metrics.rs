@@ -242,6 +242,11 @@ pub fn render_metrics(stats: &ServerStats) -> String {
             "esr_recoveries",
             "Crash recoveries performed at startup",
             stats.recoveries as i64,
+        )
+        .gauge(
+            "esr_wal_failed",
+            "1 once the write-ahead log has hit an I/O error and stopped acknowledging commits",
+            i64::from(stats.wal_failed),
         );
     if let Some(m) = &stats.monitor {
         e.gauge(
@@ -373,11 +378,8 @@ pub fn render_metrics(stats: &ServerStats) -> String {
         );
     }
     for h in &stats.histograms {
-        e.summary(
-            &format!("esr_{}", h.name),
-            "Latency distribution (microseconds)",
-            &h.hist,
-        );
+        // The unit is the name's suffix (`_micros`, `_bytes`).
+        e.summary(&format!("esr_{}", h.name), "Distribution", &h.hist);
     }
     e.into_string()
 }
@@ -407,6 +409,7 @@ mod tests {
             retries: 6,
             wal_bytes: 4096,
             recoveries: 1,
+            wal_failed: true,
             monitor: Some(MonitorSnapshot {
                 violations: 0,
                 events: 12345,
@@ -457,6 +460,7 @@ mod tests {
         assert!(text.contains("esr_retries_total 6"));
         assert!(text.contains("esr_wal_bytes 4096"));
         assert!(text.contains("esr_recoveries 1"));
+        assert!(text.contains("esr_wal_failed 1"));
         assert!(text.contains("esr_conformance_violations 0"));
         assert!(text.contains("esr_monitor_events_total 12345"));
         assert!(text.contains("esr_monitor_live_txns 4"));

@@ -30,7 +30,7 @@ use esr_core::value::Value;
 use esr_core::ObjectId;
 use esr_obs::HistogramSnapshot;
 use esr_server::{ReplicaPeerRow, ReplicationStats};
-use esr_storage::wal::{read_records_from, Checkpoint, DurabilitySink, Wal, WalRecord};
+use esr_storage::wal::{read_records_from, DurabilitySink, ObjectSnapshot, Wal, WalRecord};
 use esr_tso::Kernel;
 use std::collections::BTreeMap;
 use std::io;
@@ -269,8 +269,13 @@ impl DurabilitySink for ReplSink {
         self.wal.appended_seq()
     }
 
-    fn write_checkpoint(&self, ckpt: &Checkpoint) -> io::Result<()> {
-        self.wal.write_checkpoint(ckpt)
+    fn write_checkpoint(
+        &self,
+        seq: u64,
+        next_txn: u64,
+        objects: &mut dyn ExactSizeIterator<Item = ObjectSnapshot>,
+    ) -> io::Result<()> {
+        self.wal.write_checkpoint(seq, next_txn, objects)
     }
 
     fn prune_segments(&self, upto: u64) -> io::Result<()> {
@@ -285,8 +290,12 @@ impl DurabilitySink for ReplSink {
         self.wal.recoveries()
     }
 
-    fn fsync_histogram(&self) -> Option<HistogramSnapshot> {
-        self.wal.fsync_histogram()
+    fn failed(&self) -> bool {
+        self.wal.failed()
+    }
+
+    fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
+        self.wal.histograms()
     }
 
     fn shutdown_sink(&self) {

@@ -38,12 +38,12 @@ use crate::frame::{write_frame, FrameError, FrameReader};
 use esr_core::hierarchy::HierarchySchema;
 use esr_core::value::{distance, Value};
 use esr_core::ObjectId;
-use esr_server::ReplicationStats;
+use esr_server::{NamedHistogram, ReplicationStats, ServerStats};
 use esr_storage::catalog::CatalogConfig;
 use esr_storage::table::ObjectTable;
 use esr_storage::wal::{
-    install_snapshot_dir, read_epoch, recover, snapshot_table, write_epoch, Checkpoint,
-    DurabilitySink, ObjectSnapshot, Wal, WalOptions, WalRecord,
+    install_snapshot_dir, read_epoch, recover, snapshots, write_epoch, DurabilitySink,
+    ObjectSnapshot, Wal, WalOptions, WalRecord,
 };
 use esr_tso::capture::{EventKind, EventLog, History};
 use esr_tso::KernelConfig;
@@ -383,6 +383,27 @@ impl ReplicaNode {
         }
     }
 
+    /// Everything a replica reports about itself, for the wire `Stats`
+    /// reply and `/metrics` alike: its replication state and its own
+    /// log's counters and distributions (fsync, checkpoint stall and
+    /// size). There is no kernel here, so the kernel's share stays
+    /// zero.
+    pub fn server_stats(&self) -> ServerStats {
+        let wal = Arc::clone(&self.shared.lock_engine().wal);
+        ServerStats {
+            wal_bytes: wal.wal_bytes(),
+            recoveries: wal.recoveries(),
+            wal_failed: wal.failed(),
+            replication: Some(self.replication_stats()),
+            histograms: wal
+                .histograms()
+                .into_iter()
+                .map(|(name, hist)| NamedHistogram { name, hist })
+                .collect(),
+            ..ServerStats::default()
+        }
+    }
+
     /// Replication stats for the replica role.
     pub fn replication_stats(&self) -> ReplicationStats {
         let received = self.received_seq();
@@ -611,19 +632,14 @@ fn install_snapshot(
     shared.queue_cv.notify_all();
     let mut eng = shared.lock_engine();
     eng.wal.shutdown();
-    let ckpt = Checkpoint {
-        seq: next_seq - 1,
-        next_txn,
-        objects,
-    };
     // Past this point the old WAL is dead. If the install or the
     // re-boot fails, the engine must not keep running over it — the
     // applier would keep acknowledging records into a log that can no
     // longer flush (silent durability loss). Poison the node instead:
     // both threads stop, strict reads are refused, and the operator
     // restarts through the ordinary recovery path.
-    let installed =
-        install_snapshot_dir(&shared.cfg.data_dir, &ckpt).and_then(|()| boot_engine(&shared.cfg));
+    let installed = install_snapshot_dir(&shared.cfg.data_dir, next_seq - 1, next_txn, objects)
+        .and_then(|()| boot_engine(&shared.cfg));
     match installed {
         Ok(fresh_engine) => {
             *eng = fresh_engine;
@@ -719,12 +735,18 @@ fn apply_loop(shared: &Arc<NodeShared>) {
             unsynced = 0;
         }
         if checkpoint_due {
-            let ckpt = Checkpoint {
-                seq: eng.applied_seq,
-                next_txn: eng.max_txn + 1,
-                objects: snapshot_table(&eng.table),
-            };
-            let _ = eng.wal.write_checkpoint(&ckpt);
+            // Streamed from the live table under the engine lock, which
+            // is this node's commit gate. A failure is not fatal — the
+            // log still holds everything — so it is surfaced and
+            // retried after the next `checkpoint_every` records.
+            let written = eng.wal.write_checkpoint(
+                eng.applied_seq,
+                eng.max_txn + 1,
+                &mut snapshots(&eng.table),
+            );
+            if let Err(e) = written {
+                eprintln!("esr-repl: checkpoint failed: {e}");
+            }
             eng.since_checkpoint = 0;
         }
         drop(eng);

@@ -43,9 +43,7 @@ use crate::server::busy_reject;
 use esr_core::ids::{TxnId, TxnKind};
 use esr_core::ledger::Ledger;
 use esr_core::value::distance;
-use esr_server::{
-    BeginReply, EndReply, OpReply, ServerStats, StatsReply, BATCH_TOO_LARGE, MAX_BATCH,
-};
+use esr_server::{BeginReply, EndReply, OpReply, StatsReply, BATCH_TOO_LARGE, MAX_BATCH};
 use esr_tso::capture::EventKind;
 use esr_tso::{CommitInfo, Operation};
 use std::collections::HashMap;
@@ -253,13 +251,7 @@ fn dispatch(
                 ReplyBody::End(EndReply::Aborted)
             }
         }
-        RequestBody::Stats => {
-            let stats = ServerStats {
-                replication: Some(node.replication_stats()),
-                ..ServerStats::default()
-            };
-            ReplyBody::Stats(StatsReply::Stats(Box::new(stats)))
-        }
+        RequestBody::Stats => ReplyBody::Stats(StatsReply::Stats(Box::new(node.server_stats()))),
     }
 }
 

@@ -21,7 +21,7 @@ use esr_net::{
     ReplicationHub, StatsSource, TcpConnection, TcpServer,
 };
 use esr_replica::{LogEntry, Replica};
-use esr_server::{start_durable_with, ServerConfig, ServerStats};
+use esr_server::{start_durable_with, ServerConfig};
 use esr_storage::catalog::CatalogConfig;
 use esr_storage::wal::WalOptions;
 use esr_tso::KernelConfig;
@@ -342,16 +342,17 @@ fn replication_gauges_are_exported_live() {
         node.received_seq() >= 1
     });
 
-    // The replica daemon overlays its replication stats exactly like
-    // `esr-tcpd --replica-of` does.
+    // The replica daemon serves the node's own stats, exactly like
+    // `esr-tcpd --replica-of` does: replication state plus its log's
+    // health flag and distributions.
     let stats_node = Arc::clone(&node);
-    let source: StatsSource = Arc::new(move || ServerStats {
-        replication: Some(stats_node.replication_stats()),
-        ..ServerStats::default()
-    });
+    let source: StatsSource = Arc::new(move || stats_node.server_stats());
     let mut metrics = MetricsServer::bind("127.0.0.1:0", source).unwrap();
     let body = http_get(metrics.local_addr());
     assert!(body.contains("esr_replica_lag_records 1"), "{body}");
+    assert!(body.contains("esr_wal_failed 0"), "{body}");
+    assert!(body.contains("esr_checkpoint_micros_count 0"), "{body}");
+    assert!(body.contains("esr_checkpoint_bytes_count 0"), "{body}");
     assert!(body.contains("esr_replica_lag_micros"), "{body}");
     assert!(body.contains("esr_replica_divergence_total 7"), "{body}");
     assert!(

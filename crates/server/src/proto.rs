@@ -162,6 +162,12 @@ pub struct ServerStats {
     /// pre-durability servers.
     #[serde(default)]
     pub recoveries: u64,
+    /// The write-ahead log hit an I/O error and stopped: commits are no
+    /// longer being acknowledged and the daemon needs its disk fixed
+    /// and a restart. Absent in snapshots from servers that wedged
+    /// quietly instead.
+    #[serde(default)]
+    pub wal_failed: bool,
     /// Live conformance-monitor counters (`None` unless the server runs
     /// with `--monitor`). Absent in snapshots from pre-monitor servers.
     #[serde(default)]

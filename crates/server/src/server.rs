@@ -673,17 +673,17 @@ pub fn build_server_stats(kernel: &Kernel, obs: &ServerObs) -> ServerStats {
                 .map(|(name, hist)| NamedHistogram { name, hist }),
         );
     }
-    let (wal_bytes, recoveries) = match kernel.durability() {
+    let (wal_bytes, recoveries, wal_failed) = match kernel.durability() {
         Some(d) => {
-            if let Some(hist) = d.sink().fsync_histogram() {
-                histograms.push(NamedHistogram {
-                    name: "fsync_micros".into(),
-                    hist,
-                });
-            }
-            (d.sink().wal_bytes(), d.sink().recoveries())
+            let sink = d.sink();
+            histograms.extend(
+                sink.histograms()
+                    .into_iter()
+                    .map(|(name, hist)| NamedHistogram { name, hist }),
+            );
+            (sink.wal_bytes(), sink.recoveries(), sink.failed())
         }
-        None => (0, 0),
+        None => (0, 0, false),
     };
     ServerStats {
         kernel: kernel.stats(),
@@ -693,6 +693,7 @@ pub fn build_server_stats(kernel: &Kernel, obs: &ServerObs) -> ServerStats {
         retries: obs.retries(),
         wal_bytes,
         recoveries,
+        wal_failed,
         // Conformance monitoring is a transport-level concern: the
         // esr-net daemon overlays its monitor snapshot on top of this.
         monitor: None,

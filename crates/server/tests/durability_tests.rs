@@ -161,6 +161,17 @@ fn periodic_checkpoints_bound_replay() {
         drop(c);
         // Let at least one periodic checkpoint land, then crash.
         std::thread::sleep(Duration::from_millis(120));
+        // The stall each one cost and the size of its file are on the
+        // stats, beside the log's own health.
+        let stats = server.stats();
+        let stalls = stats
+            .histogram("checkpoint_micros")
+            .expect("stall histogram");
+        let sizes = stats.histogram("checkpoint_bytes").expect("size histogram");
+        assert!(stalls.count >= 1, "no checkpoint was timed");
+        assert!(sizes.count >= 1, "no checkpoint was sized");
+        assert!(sizes.max > 100, "two objects take more than {}", sizes.max);
+        assert!(!stats.wal_failed);
         std::mem::forget(server);
     }
     let (server, summary) = boot(&dir, 2, ServerConfig::default());

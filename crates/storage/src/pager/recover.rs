@@ -106,7 +106,7 @@ pub fn recover_paged(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::checkpoint::{self, Checkpoint};
+    use crate::wal::checkpoint;
     use crate::wal::tests::tempdir;
     use crate::wal::{DurabilitySink, Wal, WalOptions};
     use crate::ObjectTable;
@@ -229,12 +229,8 @@ mod tests {
                 g.apply_write(TxnId(i), ts(i), i as i64);
                 g.commit_write(TxnId(i));
             }
-            wal.write_checkpoint(&Checkpoint {
-                seq: 2,
-                next_txn: 3,
-                objects: checkpoint::snapshot_table(&table),
-            })
-            .unwrap();
+            wal.write_checkpoint(2, 3, &mut checkpoint::snapshots(&table))
+                .unwrap();
             let seq = wal.append_commit(TxnId(3), ts(3), 0, &[(ObjectId(2), 42)]);
             wal.sync_to(seq);
         }

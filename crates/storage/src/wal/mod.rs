@@ -46,7 +46,7 @@ pub mod checkpoint;
 pub mod recover;
 pub mod ship;
 
-pub use checkpoint::{snapshot_table, Checkpoint, ObjectSnapshot};
+pub use checkpoint::{snapshots, ObjectSnapshot};
 pub use recover::{recover, Recovered};
 pub use ship::{install_snapshot_dir, read_epoch, read_records_from, write_epoch};
 
@@ -102,8 +102,17 @@ pub trait DurabilitySink: Send + Sync {
     fn sync_to(&self, seq: u64);
     /// Highest sequence number handed out so far.
     fn appended_seq(&self) -> u64;
-    /// Persist a checkpoint and rotate/prune segments.
-    fn write_checkpoint(&self, ckpt: &Checkpoint) -> io::Result<()>;
+    /// Persist a checkpoint covering every record up to `seq` and
+    /// rotate/prune segments. `objects` yields every object in id order
+    /// and is drained one snapshot at a time — feed it from the live
+    /// table ([`snapshots`]) under whatever lock quiesces commits; no
+    /// copy of the table is ever assembled.
+    fn write_checkpoint(
+        &self,
+        seq: u64,
+        next_txn: u64,
+        objects: &mut dyn ExactSizeIterator<Item = ObjectSnapshot>,
+    ) -> io::Result<()>;
     /// Rotate to a fresh segment and delete segments fully covered by
     /// a durable snapshot of everything up to `upto`. The paged
     /// checkpoint path calls this *instead of* [`write_checkpoint`]:
@@ -120,8 +129,16 @@ pub trait DurabilitySink: Send + Sync {
     /// Recoveries performed (0 on a fresh boot, 1 after a restart that
     /// found durable state).
     fn recoveries(&self) -> u64;
-    /// Distribution of fsync latencies, if the sink measures them.
-    fn fsync_histogram(&self) -> Option<HistogramSnapshot>;
+    /// Whether the log has failed for good (a write or fsync error):
+    /// no later commit will ever be reported durable.
+    fn failed(&self) -> bool {
+        false
+    }
+    /// Every distribution the sink measures, as `(metric name,
+    /// snapshot)` pairs for `ServerStats::histograms`.
+    fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
+        Vec::new()
+    }
     /// Flush everything pending and stop background work. Idempotent.
     fn shutdown_sink(&self);
 }
@@ -171,7 +188,16 @@ struct Shared {
     segment: Mutex<Segment>,
     bytes: AtomicU64,
     recoveries: AtomicU64,
+    /// Latched by the flusher when a write or fsync fails; it then
+    /// exits, so the durable watermark never moves again.
+    failed: AtomicBool,
     fsync_micros: LatencyHistogram,
+    /// Time spent in [`DurabilitySink::write_checkpoint`] — commits are
+    /// quiesced for all of it (the kernel's commit gate on a primary,
+    /// the engine lock on a replica).
+    checkpoint_micros: LatencyHistogram,
+    /// Size of each checkpoint file written.
+    checkpoint_bytes: LatencyHistogram,
     torn_write_after: Option<u64>,
 }
 
@@ -212,7 +238,10 @@ impl Wal {
             segment: Mutex::new(segment),
             bytes: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
+            failed: AtomicBool::new(false),
             fsync_micros: LatencyHistogram::new(),
+            checkpoint_micros: LatencyHistogram::new(),
+            checkpoint_bytes: LatencyHistogram::new(),
             torn_write_after: opts.torn_write_after,
         });
         let flusher = {
@@ -363,13 +392,22 @@ impl DurabilitySink for Wal {
         self.shared.appended.load(Ordering::Acquire)
     }
 
-    fn write_checkpoint(&self, ckpt: &Checkpoint) -> io::Result<()> {
+    fn write_checkpoint(
+        &self,
+        seq: u64,
+        next_txn: u64,
+        objects: &mut dyn ExactSizeIterator<Item = ObjectSnapshot>,
+    ) -> io::Result<()> {
+        let t0 = Instant::now();
         // The caller (the kernel's checkpoint entry point) holds the
         // commit gate, so no appends are in flight; drain what's left.
         self.sync_to(self.appended_seq());
-        checkpoint::write_checkpoint(&self.shared.dir, ckpt)?;
+        let bytes = checkpoint::write_checkpoint(&self.shared.dir, seq, next_txn, objects)?;
         // Everything logged so far is covered by the checkpoint.
-        self.prune_segments(ckpt.seq)
+        self.prune_segments(seq)?;
+        self.shared.checkpoint_bytes.record(bytes);
+        self.shared.checkpoint_micros.record_duration(t0.elapsed());
+        Ok(())
     }
 
     fn prune_segments(&self, upto: u64) -> io::Result<()> {
@@ -395,8 +433,18 @@ impl DurabilitySink for Wal {
         self.shared.recoveries.load(Ordering::Relaxed)
     }
 
-    fn fsync_histogram(&self) -> Option<HistogramSnapshot> {
-        Some(self.shared.fsync_micros.snapshot())
+    fn failed(&self) -> bool {
+        self.shared.failed.load(Ordering::SeqCst)
+    }
+
+    fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
+        [
+            ("fsync_micros", &self.shared.fsync_micros),
+            ("checkpoint_micros", &self.shared.checkpoint_micros),
+            ("checkpoint_bytes", &self.shared.checkpoint_bytes),
+        ]
+        .map(|(name, hist)| (name.to_owned(), hist.snapshot()))
+        .into()
     }
 
     fn shutdown_sink(&self) {
@@ -472,15 +520,13 @@ fn flusher_loop(shared: &Shared) {
                     let _ = seg.file.sync_data();
                     std::process::abort();
                 }
-                if seg.file.write_all(frame).is_err() {
-                    // A full disk is fatal for a redo log: better to
-                    // stop acknowledging commits than to ack and lose.
-                    return;
+                if let Err(e) = seg.file.write_all(frame) {
+                    return fail(shared, "write", *seq, &e);
                 }
             }
             let t0 = Instant::now();
-            if seg.file.sync_data().is_err() {
-                return;
+            if let Err(e) = seg.file.sync_data() {
+                return fail(shared, "fdatasync", last_seq, &e);
             }
             shared.fsync_micros.record_duration(t0.elapsed());
         }
@@ -490,6 +536,20 @@ fn flusher_loop(shared: &Shared) {
             shared.flushed_cv.notify_all();
         }
     }
+}
+
+/// The flusher's exit on an I/O error. A full or failing disk is fatal
+/// for a redo log — better to stop acknowledging commits than to ack
+/// and lose — but it must not be quiet: every committer now blocks in
+/// [`Wal::sync_to`] until shutdown, so say why, once, and latch the
+/// flag `Stats` and `/metrics` report as `wal_failed`.
+fn fail(shared: &Shared, what: &str, seq: u64, e: &io::Error) {
+    eprintln!(
+        "esr-wal: {what} failed at record {seq} in {}: {e}; \
+         no further commit will be acknowledged",
+        shared.dir.display()
+    );
+    shared.failed.store(true, Ordering::SeqCst);
 }
 
 // ---------------------------------------------------------------------------
@@ -609,14 +669,45 @@ fn crc_table() -> &'static [u32; 256] {
     })
 }
 
+/// A CRC-32 (IEEE 802.3) taken over bytes as they stream past.
+pub(crate) struct Crc32(u32);
+
+impl Crc32 {
+    pub(crate) fn new() -> Self {
+        Crc32(0xFFFF_FFFF)
+    }
+
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        let table = crc_table();
+        let mut c = self.0;
+        for &b in bytes {
+            c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.0 = c;
+    }
+
+    pub(crate) fn finish(&self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
+    }
+}
+
+/// A sink for `io::copy`: checksum a file without holding it.
+impl Write for Crc32 {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        self.update(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 /// CRC-32 (IEEE 802.3) of `bytes`.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc_table();
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    let mut c = Crc32::new();
+    c.update(bytes);
+    c.finish()
 }
 
 #[cfg(test)]
@@ -767,6 +858,43 @@ pub(crate) mod tests {
         assert!(records[0].writes.is_empty(), "gap filled by a tombstone");
         assert_eq!(records[1].seq, 2);
         assert_eq!(records[1].writes, vec![(ObjectId(0), 5)]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Regression: a flusher that hit an I/O error used to `return`
+    /// without a word, leaving every later `sync_to` spinning on its
+    /// timeout with nothing on stderr or in the stats.
+    #[test]
+    fn flusher_io_error_is_latched_and_never_reports_the_record_durable() {
+        let dir = tempdir("wal-failed");
+        let wal = Arc::new(Wal::open(&dir, 1, WalOptions::default()).unwrap());
+        assert!(!wal.failed());
+        // A read-only handle in the segment's place: the next write
+        // fails with EBADF, whoever runs the test.
+        let path = list_segments(&dir).unwrap().pop().unwrap().0;
+        lock(&wal.shared.segment).file = File::open(path).unwrap();
+        let seq = wal.append_commit(TxnId(1), ts(1), 0, &[(ObjectId(0), 5)]);
+        let returned = Arc::new(AtomicBool::new(false));
+        let waiter = {
+            let (wal, returned) = (Arc::clone(&wal), Arc::clone(&returned));
+            std::thread::spawn(move || {
+                wal.sync_to(seq);
+                returned.store(true, Ordering::SeqCst);
+            })
+        };
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while !wal.failed() {
+            assert!(Instant::now() < deadline, "failure never latched");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        // Two of sync_to's 50 ms timeouts later the committer is still
+        // parked and the watermark has not moved.
+        std::thread::sleep(std::time::Duration::from_millis(120));
+        assert!(!returned.load(Ordering::SeqCst), "acked a lost record");
+        assert_eq!(*lock(&wal.shared.flushed), 0);
+        wal.shutdown(); // releases the waiter
+        waiter.join().unwrap();
+        assert!(wal.failed());
         let _ = fs::remove_dir_all(&dir);
     }
 

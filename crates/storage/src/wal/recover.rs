@@ -20,7 +20,7 @@
 //!    recovered timestamp tick (so the restarted site clock can resume
 //!    *above* every pre-crash timestamp instead of aborting forever).
 
-use super::checkpoint::{self, Checkpoint};
+use super::checkpoint::{self, Loaded};
 use super::{decode_segment, list_segments, Tail, WalRecord};
 use crate::catalog::CatalogConfig;
 use crate::object::ObjectState;
@@ -69,14 +69,11 @@ pub fn recover(dir: impl AsRef<Path>, catalog: &CatalogConfig) -> io::Result<Rec
     let ckpt = checkpoint::load_latest(dir)?;
     let mut had_state = ckpt.is_some();
     let (mut states, base_seq, mut next_txn) = match ckpt {
-        Some(Checkpoint {
+        Some(Loaded {
             seq,
             next_txn,
-            objects,
-        }) => {
-            let states: Vec<ObjectState> = objects.into_iter().map(|o| o.restore()).collect();
-            (states, seq, next_txn.max(1))
-        }
+            states,
+        }) => (states, seq, next_txn.max(1)),
         None => (catalog.build_states(), 0, 1),
     };
 
@@ -203,7 +200,7 @@ mod tests {
     use super::super::tests::tempdir;
     use super::super::{DurabilitySink, Wal, WalOptions};
     use super::*;
-    use crate::wal::checkpoint::snapshot_table;
+    use crate::wal::checkpoint::snapshots;
     use crate::ObjectTable;
     use esr_clock::Timestamp;
     use esr_core::ids::{ObjectId, SiteId, TxnId};
@@ -310,12 +307,7 @@ mod tests {
             g.commit_write(TxnId(i));
         }
         // Checkpoint covering seq 2; segments rotate and prune.
-        wal.write_checkpoint(&Checkpoint {
-            seq: 2,
-            next_txn: 3,
-            objects: snapshot_table(&table),
-        })
-        .unwrap();
+        wal.write_checkpoint(2, 3, &mut snapshots(&table)).unwrap();
         // One more commit after the checkpoint.
         let seq = wal.append_commit(TxnId(3), ts(3), 0, &[(ObjectId(1), 555)]);
         wal.sync_to(seq);
@@ -344,15 +336,7 @@ mod tests {
         }
         // Simulate "checkpoint published, prune never ran": write the
         // checkpoint file directly, leaving the covering segment behind.
-        checkpoint::write_checkpoint(
-            &dir,
-            &Checkpoint {
-                seq: 1,
-                next_txn: 2,
-                objects: snapshot_table(&table),
-            },
-        )
-        .unwrap();
+        checkpoint::write_checkpoint(&dir, 1, 2, &mut snapshots(&table)).unwrap();
         let rec = recover(&dir, &catalog(1)).unwrap();
         assert_eq!(rec.replayed, 0, "covered record must be skipped");
         assert_eq!(rec.states[0].value, 42);

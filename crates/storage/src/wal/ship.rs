@@ -20,7 +20,7 @@
 //! Everything here does file I/O and therefore lives in the WAL
 //! module, the one sanctioned I/O site (`wal-io` lint).
 
-use super::checkpoint::{self, Checkpoint};
+use super::checkpoint::{self, ObjectSnapshot};
 use super::recover::remove_tmp_files;
 use super::{decode_segment, list_segments, WalRecord};
 use std::fs::{self, File, OpenOptions};
@@ -137,14 +137,19 @@ pub fn write_epoch(dir: impl AsRef<Path>, epoch: u64) -> io::Result<()> {
 }
 
 /// Replace a replica's durable state with a shipped snapshot: delete
-/// every WAL segment and checkpoint, then persist `ckpt` as the new
-/// base. The caller re-runs its normal recovery afterwards (which sees
-/// exactly a freshly checkpointed directory) and resubscribes from
-/// `ckpt.seq + 1`.
+/// every WAL segment and checkpoint, then persist `objects` as a
+/// checkpoint covering `seq`, the new base. The caller re-runs its
+/// normal recovery afterwards (which sees exactly a freshly
+/// checkpointed directory) and resubscribes from `seq + 1`.
 ///
 /// The epoch file is left alone — fencing state must survive a
 /// snapshot install.
-pub fn install_snapshot_dir(dir: impl AsRef<Path>, ckpt: &Checkpoint) -> io::Result<()> {
+pub fn install_snapshot_dir(
+    dir: impl AsRef<Path>,
+    seq: u64,
+    next_txn: u64,
+    objects: Vec<ObjectSnapshot>,
+) -> io::Result<()> {
     let dir = dir.as_ref();
     fs::create_dir_all(dir)?;
     remove_tmp_files(dir)?;
@@ -152,7 +157,7 @@ pub fn install_snapshot_dir(dir: impl AsRef<Path>, ckpt: &Checkpoint) -> io::Res
         let _ = fs::remove_file(path);
     }
     checkpoint::remove_all(dir)?;
-    checkpoint::write_checkpoint(dir, ckpt)
+    checkpoint::write_checkpoint(dir, seq, next_txn, &mut objects.into_iter()).map(drop)
 }
 
 #[cfg(test)]
@@ -235,15 +240,8 @@ mod tests {
             ..CatalogConfig::default()
         };
         let states = catalog.build_states();
-        let ckpt = Checkpoint {
-            seq: 9,
-            next_txn: 10,
-            objects: states
-                .iter()
-                .map(checkpoint::ObjectSnapshot::capture)
-                .collect(),
-        };
-        install_snapshot_dir(&dir, &ckpt).unwrap();
+        let objects = states.iter().map(ObjectSnapshot::capture).collect();
+        install_snapshot_dir(&dir, 9, 10, objects).unwrap();
         let rec = recover(&dir, &catalog).unwrap();
         assert_eq!(rec.next_seq, 10);
         assert_eq!(rec.next_txn, 10);

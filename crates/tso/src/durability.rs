@@ -29,7 +29,7 @@ use esr_core::ids::TxnId;
 use esr_core::value::Value;
 use esr_core::ObjectId;
 use esr_storage::table::ObjectTable;
-use esr_storage::wal::{snapshot_table, Checkpoint, DurabilitySink, ObjectSnapshot};
+use esr_storage::wal::{snapshots, DurabilitySink, ObjectSnapshot};
 use std::io;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
@@ -94,8 +94,10 @@ impl Durability {
     /// Quiesce commits and write a checkpoint covering everything
     /// appended so far. Returns the covered sequence number.
     ///
-    /// A resident table snapshots every object into a checkpoint file.
-    /// A paged table checkpoints *incrementally*: flush the dirty
+    /// A resident table streams every object into a checkpoint file,
+    /// straight from the live table — no copy of it is assembled, so a
+    /// checkpoint costs the process a fixed buffer whatever the table's
+    /// size. A paged table checkpoints *incrementally*: flush the dirty
     /// pages, persist the small directory snapshot, and prune the log
     /// segments the snapshot covers — work proportional to what changed
     /// since the last checkpoint, not to the database size.
@@ -108,14 +110,9 @@ impl Durability {
                 heap.checkpoint(seq, next_txn)?;
                 self.sink.prune_segments(seq)?;
             }
-            None => {
-                let ckpt = Checkpoint {
-                    seq,
-                    next_txn,
-                    objects: snapshot_table(table),
-                };
-                self.sink.write_checkpoint(&ckpt)?;
-            }
+            None => self
+                .sink
+                .write_checkpoint(seq, next_txn, &mut snapshots(table))?,
         }
         Ok(seq)
     }
@@ -139,7 +136,7 @@ impl Durability {
         let seq = self.sink.appended_seq();
         self.sink.sync_to(seq);
         let next_txn = next_txn();
-        (seq, next_txn, snapshot_table(table))
+        (seq, next_txn, snapshots(table).collect())
     }
 }
 
@@ -147,7 +144,6 @@ impl Durability {
 mod tests {
     use super::*;
     use esr_core::ids::SiteId;
-    use esr_obs::HistogramSnapshot;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     type RecordedCommit = (TxnId, Vec<(ObjectId, Value)>);
@@ -159,6 +155,8 @@ mod tests {
         synced: AtomicU64,
         records: Mutex<Vec<RecordedCommit>>,
         checkpoints: AtomicU64,
+        /// Snapshots drained from checkpoint sources.
+        objects: AtomicU64,
     }
 
     impl DurabilitySink for FakeSink {
@@ -178,7 +176,14 @@ mod tests {
         fn appended_seq(&self) -> u64 {
             self.appended.load(Ordering::SeqCst)
         }
-        fn write_checkpoint(&self, _ckpt: &Checkpoint) -> io::Result<()> {
+        fn write_checkpoint(
+            &self,
+            _seq: u64,
+            _next_txn: u64,
+            objects: &mut dyn ExactSizeIterator<Item = ObjectSnapshot>,
+        ) -> io::Result<()> {
+            self.objects
+                .fetch_add(objects.count() as u64, Ordering::SeqCst);
             self.checkpoints.fetch_add(1, Ordering::SeqCst);
             Ok(())
         }
@@ -187,9 +192,6 @@ mod tests {
         }
         fn recoveries(&self) -> u64 {
             0
-        }
-        fn fsync_histogram(&self) -> Option<HistogramSnapshot> {
-            None
         }
         fn shutdown_sink(&self) {}
     }
@@ -230,5 +232,6 @@ mod tests {
         assert_eq!(covered, 1);
         assert_eq!(sink.synced.load(Ordering::SeqCst), 1);
         assert_eq!(sink.checkpoints.load(Ordering::SeqCst), 1);
+        assert_eq!(sink.objects.load(Ordering::SeqCst), 2, "fed from the table");
     }
 }

@@ -29,12 +29,19 @@ echo "==> cargo test -p esr-tso -p esr-sim --features capture -q"
 cargo test -p esr-tso --features capture -q
 cargo test -p esr-sim --features capture -q
 
-# The observability layer: histogram/gauge/ring/exposition unit and
-# property tests, then the kernel hooks with the per-transaction event
-# ring compiled in (feature-gated off by default) — including the
-# driver-equivalence test proving obs never changes outcomes.
-echo "==> cargo test -p esr-obs -q"
-cargo test -p esr-obs -q
+# The observability layer. Its unit, property and doc tests (esr-obs:
+# histograms, gauges, rings, the `metrics!`/`histograms!` declaration
+# macros, the exposition's group walks) and the declared-once
+# parity/golden tests already ran in the workspace pass above:
+# esr-net `metrics::tests::{stats_frame_is_byte_identical_to_the_parent_commit,
+# every_line_the_parent_rendered_is_still_rendered,
+# every_declared_field_renders_its_value_exactly_once,
+# readme_lists_every_declared_series}` and `net_tests`
+# `wire_stats_of_a_monitored_shipping_primary_equal_metrics`. What the
+# workspace pass does not build is the kernel hooks with the
+# per-transaction event ring compiled in (feature-gated off by default)
+# — including the driver-equivalence test proving obs never changes
+# outcomes.
 echo "==> cargo test -p esr-tso --features obs-events -q"
 cargo test -p esr-tso --features obs-events -q
 

@@ -37,7 +37,7 @@ pub mod report;
 
 pub use esr_tso::capture::{Event, EventKind, History, ReaderView};
 pub use lint::{lint_schema, lint_spec, LintFinding};
-pub use monitor::{EsrMonitor, MonitorStats};
+pub use monitor::EsrMonitor;
 pub use report::{CheckReport, Diagnostic};
 
 use esr_tso::capture::EventKind as Ek;

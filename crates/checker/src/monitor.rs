@@ -76,7 +76,7 @@ use crate::{lint, EventKind};
 use esr_core::hierarchy::HierarchySchema;
 use esr_core::ids::{ObjectId, TxnId, TxnKind};
 use esr_tso::capture::Event;
-use esr_tso::KernelConfig;
+use esr_tso::{KernelConfig, MonitorSnapshot};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// One access in a per-object log.
@@ -105,38 +105,6 @@ struct Node {
     /// Objects this transaction accessed, with the object's
     /// `writes_seen` at the time of this transaction's latest entry.
     objs: HashMap<ObjectId, u64>,
-}
-
-/// Counters a monitor exposes for metrics and memory-bound assertions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MonitorStats {
-    /// Events processed (including injected ones).
-    pub events: u64,
-    /// Error-level diagnostics found so far.
-    pub violations: u64,
-    /// Stream discontinuities observed (each also yields a diagnostic).
-    pub gaps: u64,
-    /// Events reported lost by the capture cursor (evicted unread).
-    pub missed_events: u64,
-    /// Transactions currently live in the replay engine.
-    pub live_txns: usize,
-    /// Update transactions currently in the conflict graph.
-    pub graph_nodes: usize,
-    /// Objects with a non-empty access log.
-    pub tracked_objects: usize,
-    /// Total access-log entries across all objects.
-    pub retained_entries: usize,
-    /// Coalesced ranges remembering ended transaction ids.
-    pub ended_ranges: usize,
-}
-
-impl MonitorStats {
-    /// The monitor's retained state, in units the memory-bound soak
-    /// asserts on: everything that must shrink back once transactions
-    /// drain.
-    pub fn retained(&self) -> usize {
-        self.live_txns + self.graph_nodes + self.retained_entries + self.ended_ranges
-    }
 }
 
 /// An incremental ESR conformance checker over a live capture stream.
@@ -230,18 +198,23 @@ impl EsrMonitor {
         self.violations
     }
 
-    pub fn stats(&self) -> MonitorStats {
-        MonitorStats {
+    pub fn stats(&self) -> MonitorSnapshot {
+        MonitorSnapshot {
             events: self.events,
             violations: self.violations,
             gaps: self.gaps,
             missed_events: self.missed_events,
-            live_txns: self.replay.live_txns(),
-            graph_nodes: self.nodes.len(),
-            tracked_objects: self.objects.len(),
-            retained_entries: self.objects.values().map(|o| o.log.len()).sum(),
-            ended_ranges: self.replay.ended_ranges().max(self.ended.range_count()),
+            live_txns: self.replay.live_txns() as u64,
+            graph_nodes: self.nodes.len() as u64,
+            tracked_objects: self.objects.len() as u64,
+            retained_entries: self.objects.values().map(|o| o.log.len() as u64).sum(),
         }
+    }
+
+    /// Coalesced ranges remembering ended transaction ids — the one
+    /// retained structure [`Self::stats`] does not report.
+    pub fn ended_ranges(&self) -> usize {
+        self.replay.ended_ranges().max(self.ended.range_count())
     }
 
     fn push(&mut self, d: Diagnostic) {
@@ -603,7 +576,7 @@ mod tests {
             "retained {} entries",
             stats.retained_entries
         );
-        assert_eq!(stats.ended_ranges, 1, "dense ids must coalesce");
+        assert_eq!(m.ended_ranges(), 1, "dense ids must coalesce");
     }
 
     #[test]

@@ -91,9 +91,9 @@
 
 use esr_net::{
     ConformanceMonitor, MetricsServer, MonitorConfig, ReplicaConfig, ReplicaNode, ReplicaServer,
-    ReplicationHub, StatsSource, TcpServer,
+    ReplicationHub, TcpServer,
 };
-use esr_server::{build_server_stats, start_durable_with, Server, ServerConfig};
+use esr_server::{start_durable_with, Server, ServerConfig, StatsSource};
 use esr_storage::catalog::CatalogConfig;
 use esr_storage::wal::WalOptions;
 use esr_tso::{Kernel, KernelConfig};
@@ -292,7 +292,7 @@ fn main() {
     // a replica pointed at this primary may connect the instant the
     // address is printed.
     if let Some(h) = &hub {
-        h.attach_kernel(Arc::clone(server.kernel()));
+        h.attach(&server);
         let raddr = repl_addr.as_deref().expect("hub implies --repl-addr");
         let listener = match TcpListener::bind(raddr) {
             Ok(l) => l,
@@ -313,14 +313,16 @@ fn main() {
     // the capture stream starts at event zero — a monitor joining
     // mid-history would misreport already-running transactions.
     let conformance = monitor.then(|| {
-        ConformanceMonitor::spawn(
+        let m = ConformanceMonitor::spawn(
             server.kernel(),
             MonitorConfig {
                 capacity: monitor_capacity,
                 plant_violation_after: monitor_plant_after,
                 ..MonitorConfig::default()
             },
-        )
+        );
+        m.report_to(&server.rpc_handle());
+        m
     });
     let tcp = match TcpServer::bind(server, &addr) {
         Ok(tcp) => tcp,
@@ -349,32 +351,7 @@ fn main() {
         tcp.local_addr()
     );
     // Keep the metrics listener alive for the lifetime of the process.
-    let _metrics = metrics_addr.map(|maddr| {
-        let kernel = Arc::clone(tcp.server().kernel());
-        let obs = Arc::clone(tcp.server().obs());
-        let monitor_source = conformance.as_ref().map(|m| m.snapshot_source());
-        let hub_source = hub.clone();
-        let source: StatsSource = Arc::new(move || {
-            let mut stats = build_server_stats(&kernel, &obs);
-            if let Some(ms) = &monitor_source {
-                stats.monitor = Some(ms());
-            }
-            if let Some(h) = &hub_source {
-                stats.replication = Some(h.replication_stats());
-            }
-            stats
-        });
-        match MetricsServer::bind(&maddr, source) {
-            Ok(m) => {
-                println!("esr-tcpd metrics on http://{}/metrics", m.local_addr());
-                m
-            }
-            Err(e) => {
-                eprintln!("esr-tcpd: cannot bind metrics address {maddr}: {e}");
-                std::process::exit(1);
-            }
-        }
-    });
+    let _metrics = serve_metrics(metrics_addr.as_deref(), Arc::new(tcp.server().rpc_handle()));
     // Serve until killed; the TcpServer's Drop handles graceful
     // shutdown when the process is terminated cleanly. `conformance`
     // stays alive (and checking) alongside it.
@@ -412,21 +389,25 @@ fn run_replica(addr: &str, metrics_addr: Option<&str>, cfg: ReplicaConfig) -> ! 
         "esr-tcpd listening on {} (replica of {primary}, read-only)",
         server.addr()
     );
-    let _metrics = metrics_addr.map(|maddr| {
-        let stats_node = Arc::clone(&node);
-        let source: StatsSource = Arc::new(move || stats_node.server_stats());
-        match MetricsServer::bind(maddr, source) {
-            Ok(m) => {
-                println!("esr-tcpd metrics on http://{}/metrics", m.local_addr());
-                m
-            }
-            Err(e) => {
-                eprintln!("esr-tcpd: cannot bind metrics address {maddr}: {e}");
-                std::process::exit(1);
-            }
-        }
-    });
+    let _metrics = serve_metrics(metrics_addr, node);
     loop {
         std::thread::park();
+    }
+}
+
+/// Serve `source`'s snapshots as `/metrics` on `addr`, when one was
+/// given. The source is the same object that answers the wire `Stats`
+/// request, so the two cannot differ.
+fn serve_metrics(addr: Option<&str>, source: Arc<dyn StatsSource>) -> Option<MetricsServer> {
+    let addr = addr?;
+    match MetricsServer::bind(addr, source) {
+        Ok(m) => {
+            println!("esr-tcpd metrics on http://{}/metrics", m.local_addr());
+            Some(m)
+        }
+        Err(e) => {
+            eprintln!("esr-tcpd: cannot bind metrics address {addr}: {e}");
+            std::process::exit(1);
+        }
     }
 }

@@ -44,7 +44,7 @@ pub mod server;
 
 pub use client::{NetClientConfig, TcpConnection};
 pub use frame::{FrameError, FrameReader, MAX_FRAME};
-pub use metrics::{render_metrics, MetricsServer, StatsSource};
+pub use metrics::{render_metrics, MetricsServer};
 pub use monitor::{ConformanceMonitor, MonitorConfig};
 pub use msg::{ReplyBody, RequestBody, WireReply, WireRequest};
 pub use repl::hub::{ReplSink, ReplicationHub};

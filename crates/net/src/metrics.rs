@@ -2,8 +2,9 @@
 //! into a running server.
 //!
 //! [`MetricsServer`] answers `GET` requests with a Prometheus-style
-//! text exposition ([`render_metrics`]) of the server's kernel
-//! counters, gauges, and latency-histogram summaries. It speaks just
+//! text exposition ([`render_metrics`]) of a [`ServerStats`] snapshot:
+//! every series some snapshot struct declares, walked from its
+//! descriptor table — nothing is named here twice. It speaks just
 //! enough HTTP/1.1 for `curl` and a Prometheus scrape — one request
 //! per connection, `Connection: close` — with no HTTP dependency,
 //! matching the offline build constraint.
@@ -14,16 +15,18 @@
 
 use crate::listen::{accept_until_stopped, wake};
 use esr_obs::TextExposition;
-use esr_server::ServerStats;
+use esr_server::{
+    PageCacheSnapshot, ReplicaPeerRow, ReplicationStats, ServerStats, ServiceHistograms,
+    StatsSource,
+};
+use esr_storage::wal::WalHistograms;
+use esr_tso::{KernelHistograms, MonitorSnapshot, StatsSnapshot};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Supplies a fresh [`ServerStats`] per scrape.
-pub type StatsSource = Arc<dyn Fn() -> ServerStats + Send + Sync>;
 
 /// A minimal HTTP server exposing [`render_metrics`] at every `GET`
 /// path. One thread, one request per connection; scrapes are fast
@@ -36,8 +39,12 @@ pub struct MetricsServer {
 
 impl MetricsServer {
     /// Bind `addr` (port 0 lets the OS pick) and serve metrics rendered
-    /// from `source` until [`MetricsServer::shutdown`] or drop.
-    pub fn bind(addr: impl ToSocketAddrs, source: StatsSource) -> io::Result<MetricsServer> {
+    /// from `source` — a primary's `RpcHandle`, a `ReplicaNode` — until
+    /// [`MetricsServer::shutdown`] or drop.
+    pub fn bind(
+        addr: impl ToSocketAddrs,
+        source: Arc<dyn StatsSource>,
+    ) -> io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -78,7 +85,7 @@ impl Drop for MetricsServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, source: StatsSource, stop: Arc<AtomicBool>) {
+fn accept_loop(listener: TcpListener, source: Arc<dyn StatsSource>, stop: Arc<AtomicBool>) {
     accept_until_stopped(
         &stop,
         || listener.accept(),
@@ -87,17 +94,17 @@ fn accept_loop(listener: TcpListener, source: StatsSource, stop: Arc<AtomicBool>
             // keep a silent or stalled peer from wedging the endpoint.
             let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
             let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-            let _ = serve_one(stream, &source);
+            let _ = serve_one(stream, &*source);
         },
     );
 }
 
 /// Read one HTTP request head and answer it.
-fn serve_one(mut stream: TcpStream, source: &StatsSource) -> io::Result<()> {
+fn serve_one(mut stream: TcpStream, source: &dyn StatsSource) -> io::Result<()> {
     let head = read_request_head(&mut stream)?;
     let response = match head.split_whitespace().next() {
         Some("GET") => {
-            let body = render_metrics(&(source)());
+            let body = render_metrics(&source.stats());
             http_response("200 OK", &body)
         }
         Some(_) => http_response("405 Method Not Allowed", "only GET is supported\n"),
@@ -134,252 +141,51 @@ fn http_response(status: &str, body: &str) -> String {
     )
 }
 
-/// Render a [`ServerStats`] snapshot as Prometheus-style text: kernel
-/// counters (`esr_kernel_*_total`), gauges, and a summary per latency
-/// histogram.
+/// Every histogram a snapshot can carry, by declaring struct.
+const HISTOGRAM_SETS: [&[esr_obs::HistogramDesc]; 3] = [
+    ServiceHistograms::HISTOGRAMS,
+    KernelHistograms::HISTOGRAMS,
+    WalHistograms::HISTOGRAMS,
+];
+
+/// Render a [`ServerStats`] snapshot as Prometheus-style text: each
+/// declared group that is present (`esr_kernel_*_total`, the `esr_*`
+/// server gauges, `esr_monitor_*`, `esr_page_cache_*`, `esr_replica_*`
+/// and the per-peer `esr_replication_peer_*`), the per-group divergence
+/// gauge, and a summary per histogram under its declared help.
 pub fn render_metrics(stats: &ServerStats) -> String {
-    let k = &stats.kernel;
     let mut e = TextExposition::new();
-    e.counter("esr_kernel_begins", "Transactions begun", k.begins)
-        .counter(
-            "esr_kernel_commits_query",
-            "Query transactions committed",
-            k.commits_query,
-        )
-        .counter(
-            "esr_kernel_commits_update",
-            "Update transactions committed",
-            k.commits_update,
-        )
-        .counter(
-            "esr_kernel_aborts_query",
-            "Query transactions aborted",
-            k.aborts_query,
-        )
-        .counter(
-            "esr_kernel_aborts_update",
-            "Update transactions aborted",
-            k.aborts_update,
-        )
-        .counter("esr_kernel_reads", "Read operations executed", k.reads)
-        .counter("esr_kernel_writes", "Write operations executed", k.writes)
-        .counter(
-            "esr_kernel_inconsistent_reads",
-            "Reads admitted while viewing non-zero inconsistency (cases 1 and 2)",
-            k.inconsistent_reads,
-        )
-        .counter(
-            "esr_kernel_inconsistent_writes",
-            "Writes admitted while exporting non-zero inconsistency (case 3)",
-            k.inconsistent_writes,
-        )
-        .counter(
-            "esr_kernel_waits",
-            "Operations parked on a wait queue",
-            k.waits,
-        )
-        .counter(
-            "esr_kernel_wakes",
-            "Parked operations released by commits or aborts",
-            k.wakes,
-        )
-        .counter(
-            "esr_kernel_violations_object",
-            "Aborts from an object-level bound (OIL/OEL)",
-            k.violations_object,
-        )
-        .counter(
-            "esr_kernel_violations_group",
-            "Aborts from a group-level bound (GIL/GEL)",
-            k.violations_group,
-        )
-        .counter(
-            "esr_kernel_violations_transaction",
-            "Aborts from the transaction-level bound (TIL/TEL)",
-            k.violations_transaction,
-        )
-        .counter(
-            "esr_kernel_late_read_aborts",
-            "Aborts from late reads",
-            k.late_read_aborts,
-        )
-        .counter(
-            "esr_kernel_late_write_aborts",
-            "Aborts from late writes",
-            k.late_write_aborts,
-        )
-        .counter(
-            "esr_kernel_reaped_txns",
-            "Transactions aborted by the reaper (lease expiry or connection orphaning)",
-            k.reaped_txns,
-        )
-        .counter(
-            "esr_retries",
-            "Client-marked request resends observed by the transport",
-            stats.retries,
-        )
-        .gauge(
-            "esr_active_txns",
-            "Currently active transactions",
-            stats.active_txns as i64,
-        )
-        .gauge(
-            "esr_waitq_depth",
-            "Operations parked on kernel wait queues right now",
-            stats.waitq_depth as i64,
-        )
-        .gauge(
-            "esr_in_flight",
-            "Requests currently being served",
-            stats.in_flight,
-        )
-        .gauge(
-            "esr_wal_bytes",
-            "Bytes appended to the write-ahead log by this process",
-            stats.wal_bytes as i64,
-        )
-        .gauge(
-            "esr_recoveries",
-            "Crash recoveries performed at startup",
-            stats.recoveries as i64,
-        )
-        .gauge(
-            "esr_wal_failed",
-            "1 once the write-ahead log has hit an I/O error and stopped acknowledging commits",
-            i64::from(stats.wal_failed),
-        );
+    e.group(StatsSnapshot::METRICS, &stats.kernel.values())
+        .group(ServerStats::METRICS, &stats.values());
     if let Some(m) = &stats.monitor {
-        e.gauge(
-            "esr_conformance_violations",
-            "Error-level diagnostics from the live conformance monitor (0 = clean)",
-            m.violations as i64,
-        )
-        .counter(
-            "esr_monitor_events",
-            "Capture events processed by the conformance monitor",
-            m.events,
-        )
-        .counter(
-            "esr_monitor_gaps",
-            "Capture stream sequence discontinuities observed",
-            m.gaps,
-        )
-        .counter(
-            "esr_monitor_missed_events",
-            "Capture events evicted before the monitor could read them",
-            m.missed_events,
-        )
-        .gauge(
-            "esr_monitor_live_txns",
-            "Transactions live in the monitor's replay engine",
-            m.live_txns as i64,
-        )
-        .gauge(
-            "esr_monitor_graph_nodes",
-            "Update transactions held in the monitor's conflict graph",
-            m.graph_nodes as i64,
-        )
-        .gauge(
-            "esr_monitor_tracked_objects",
-            "Objects with retained access-log entries in the monitor",
-            m.tracked_objects as i64,
-        )
-        .gauge(
-            "esr_monitor_retained_entries",
-            "Access-log entries retained by the monitor (its memory bound)",
-            m.retained_entries as i64,
-        );
+        e.group(MonitorSnapshot::METRICS, &m.values());
     }
     if let Some(c) = &stats.page_cache {
-        e.counter(
-            "esr_page_cache_hits",
-            "Object pins satisfied from a cached page frame",
-            c.hits,
-        )
-        .counter(
-            "esr_page_cache_misses",
-            "Object pins that had to read the heap file",
-            c.misses,
-        )
-        .counter(
-            "esr_page_cache_evictions",
-            "Page frames evicted by the CLOCK sweep to make room",
-            c.evictions,
-        )
-        .counter(
-            "esr_page_cache_dirty_flushes",
-            "Dirty page write-backs (evictions and incremental checkpoints)",
-            c.dirty_flushes,
-        )
-        .gauge(
-            "esr_page_cache_resident_pages",
-            "Heap pages currently decoded in the buffer pool",
-            c.resident_pages as i64,
-        )
-        .gauge(
-            "esr_page_cache_resident_bytes",
-            "Bytes of heap-file extent currently cached",
-            c.resident_bytes as i64,
-        )
-        .gauge(
-            "esr_page_cache_capacity_pages",
-            "Configured buffer-pool capacity, in pages",
-            c.capacity_pages as i64,
-        );
+        e.group(PageCacheSnapshot::METRICS, &c.values());
     }
     if let Some(r) = &stats.replication {
-        e.gauge(
-            "esr_replica_epoch",
-            "Primary epoch this node serves or follows",
-            r.epoch as i64,
-        )
-        .gauge(
-            "esr_replica_received_seq",
-            "Highest log sequence received from the primary",
-            r.received_seq as i64,
-        )
-        .gauge(
-            "esr_replica_applied_seq",
-            "Highest log sequence applied to the local copy",
-            r.applied_seq as i64,
-        )
-        .gauge(
-            "esr_replica_lag_records",
-            "Log records received but not yet applied locally",
-            r.lag_records as i64,
-        )
-        .gauge(
-            "esr_replica_lag_micros",
-            "Age of the oldest unapplied log record (microseconds)",
-            r.lag_micros as i64,
-        )
-        .gauge(
-            "esr_replica_divergence_total",
-            "Total divergence between local values and primary shadows",
-            r.divergence_total as i64,
-        )
-        .labeled_gauge(
-            "esr_replica_divergence",
-            "Divergence between local values and primary shadows, by hierarchy group",
-            "group",
-            &r.divergence_groups
-                .iter()
-                .map(|(g, d)| (g.clone(), *d as i64))
-                .collect::<Vec<_>>(),
-        )
-        .labeled_gauge(
-            "esr_replication_peer_lag_records",
-            "Records the primary has durable but has not yet sent to each subscriber",
-            "peer",
-            &r.peers
-                .iter()
-                .map(|p| (p.peer.clone(), p.lag_records as i64))
-                .collect::<Vec<_>>(),
-        );
+        let groups: Vec<_> = r
+            .divergence_groups
+            .iter()
+            .map(|(group, d)| (group.as_str(), [*d]))
+            .collect();
+        let peers: Vec<_> = r
+            .peers
+            .iter()
+            .map(|p| (p.peer.as_str(), p.values()))
+            .collect();
+        e.group(ReplicationStats::METRICS, &r.values())
+            .labeled_group(&[ReplicationStats::DIVERGENCE_BY_GROUP], "group", &groups)
+            .labeled_group(ReplicaPeerRow::METRICS, "peer", &peers);
     }
     for h in &stats.histograms {
         // The unit is the name's suffix (`_micros`, `_bytes`).
-        e.summary(&format!("esr_{}", h.name), "Distribution", &h.hist);
+        let help = HISTOGRAM_SETS
+            .into_iter()
+            .flatten()
+            .find(|d| d.name == h.name)
+            .map_or("Undeclared distribution", |d| d.help);
+        e.summary(&format!("esr_{}", h.name), help, &h.hist);
     }
     e.into_string()
 }
@@ -388,8 +194,7 @@ pub fn render_metrics(stats: &ServerStats) -> String {
 mod tests {
     use super::*;
     use esr_obs::LatencyHistogram;
-    use esr_server::{MonitorSnapshot, NamedHistogram};
-    use esr_tso::StatsSnapshot;
+    use esr_server::NamedHistogram;
 
     fn sample_stats() -> ServerStats {
         let h = LatencyHistogram::new();
@@ -417,7 +222,7 @@ mod tests {
                 retained_entries: 17,
                 ..MonitorSnapshot::default()
             }),
-            page_cache: Some(esr_server::PageCacheSnapshot {
+            page_cache: Some(PageCacheSnapshot {
                 hits: 900,
                 misses: 100,
                 evictions: 42,
@@ -426,7 +231,7 @@ mod tests {
                 resident_bytes: 1 << 20,
                 capacity_pages: 64,
             }),
-            replication: Some(esr_server::ReplicationStats {
+            replication: Some(ReplicationStats {
                 role: "replica".into(),
                 epoch: 2,
                 durable_seq: 120,
@@ -436,7 +241,7 @@ mod tests {
                 lag_micros: 1500,
                 divergence_total: 9,
                 divergence_groups: vec![("g0".into(), 9), ("g1".into(), 0)],
-                peers: vec![esr_server::ReplicaPeerRow {
+                peers: vec![ReplicaPeerRow {
                     peer: "127.0.0.1:9999".into(),
                     sent_seq: 100,
                     lag_records: 20,
@@ -449,37 +254,204 @@ mod tests {
         }
     }
 
+    /// `sample_stats()` as the commit before the descriptor tables
+    /// encoded and rendered it, captured before any edit.
+    const PARENT_FRAME_HEX: &str = include_str!("../tests/golden/parent_stats_frame.hex");
+    const PARENT_METRICS: &str = include_str!("../tests/golden/parent_metrics.txt");
+
     #[test]
-    fn render_covers_counters_gauges_and_summaries() {
-        let text = render_metrics(&sample_stats());
-        assert!(text.contains("esr_kernel_begins_total 10"));
-        assert!(text.contains("esr_kernel_commits_query_total 4"));
-        assert!(text.contains("esr_waitq_depth 2"));
-        assert!(text.contains("esr_in_flight 1"));
-        assert!(text.contains("esr_kernel_reaped_txns_total 0"));
-        assert!(text.contains("esr_retries_total 6"));
-        assert!(text.contains("esr_wal_bytes 4096"));
-        assert!(text.contains("esr_recoveries 1"));
-        assert!(text.contains("esr_wal_failed 1"));
-        assert!(text.contains("esr_conformance_violations 0"));
-        assert!(text.contains("esr_monitor_events_total 12345"));
-        assert!(text.contains("esr_monitor_live_txns 4"));
-        assert!(text.contains("esr_monitor_retained_entries 17"));
-        assert!(text.contains("esr_page_cache_hits_total 900"));
-        assert!(text.contains("esr_page_cache_misses_total 100"));
-        assert!(text.contains("esr_page_cache_evictions_total 42"));
-        assert!(text.contains("esr_page_cache_dirty_flushes_total 33"));
-        assert!(text.contains("esr_page_cache_resident_bytes 1048576"));
-        assert!(text.contains("esr_page_cache_capacity_pages 64"));
-        assert!(text.contains("esr_kernel_txn_latency_micros{quantile=\"0.5\"}"));
-        assert!(text.contains("esr_kernel_txn_latency_micros_count 2"));
-        assert!(text.contains("esr_replica_epoch 2"));
-        assert!(text.contains("esr_replica_lag_records 8"));
-        assert!(text.contains("esr_replica_lag_micros 1500"));
-        assert!(text.contains("esr_replica_divergence_total 9"));
-        assert!(text.contains("esr_replica_divergence{group=\"g0\"} 9"));
-        assert!(text.contains("esr_replica_divergence{group=\"g1\"} 0"));
-        assert!(text.contains("esr_replication_peer_lag_records{peer=\"127.0.0.1:9999\"} 20"));
+    fn stats_frame_is_byte_identical_to_the_parent_commit() {
+        // Field names, order and `#[serde(default)]`s are the wire
+        // format: old clients and the frozen benchmark decode this.
+        let hex: String = crate::frame::to_bytes(&sample_stats())
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, PARENT_FRAME_HEX);
+
+        // A pre-retry, pre-durability, pre-monitor, pre-pager,
+        // pre-replication server sent only these; the rest default.
+        #[derive(serde::Serialize)]
+        struct OldServerStats {
+            kernel: StatsSnapshot,
+            active_txns: u64,
+            waitq_depth: u64,
+            in_flight: i64,
+            histograms: Vec<NamedHistogram>,
+        }
+        let new = sample_stats();
+        let old = crate::frame::to_bytes(&OldServerStats {
+            kernel: new.kernel,
+            active_txns: new.active_txns,
+            waitq_depth: new.waitq_depth,
+            in_flight: new.in_flight,
+            histograms: new.histograms.clone(),
+        });
+        let decoded: ServerStats = crate::frame::from_bytes(&old).expect("defaults fill in");
+        assert_eq!(
+            decoded,
+            ServerStats {
+                kernel: new.kernel,
+                active_txns: new.active_txns,
+                waitq_depth: new.waitq_depth,
+                in_flight: new.in_flight,
+                histograms: new.histograms,
+                ..ServerStats::default()
+            }
+        );
+    }
+
+    #[test]
+    fn every_line_the_parent_rendered_is_still_rendered() {
+        // Name, type and value of every series; `# HELP` texts are now
+        // the declared doc comments and free to differ.
+        let now = render_metrics(&sample_stats());
+        let now: std::collections::HashSet<&str> = now.lines().collect();
+        let missing: Vec<&str> = PARENT_METRICS
+            .lines()
+            .filter(|l| !l.starts_with("# HELP") && !now.contains(l))
+            .collect();
+        assert!(missing.is_empty(), "no longer rendered: {missing:#?}");
+        // What is new is exactly what the parent forgot to export.
+        let parent: std::collections::HashSet<&str> = PARENT_METRICS.lines().collect();
+        let mut added: Vec<&str> = now
+            .iter()
+            .copied()
+            .filter(|l| !l.starts_with('#') && !parent.contains(l))
+            .collect();
+        added.sort_unstable();
+        assert_eq!(
+            added,
+            [
+                "esr_kernel_history_misses_total 0",
+                "esr_kernel_thomas_skips_total 0",
+                "esr_replica_durable_seq 120",
+                "esr_replication_peer_sent_seq{peer=\"127.0.0.1:9999\"} 100",
+            ]
+        );
+    }
+
+    #[test]
+    fn every_declared_field_renders_its_value_exactly_once() {
+        // Every numeric field distinct (no `..default()`: a new field
+        // must be given a value here), so a series that is dropped,
+        // duplicated or wired to the wrong field shows.
+        let stats = ServerStats {
+            kernel: StatsSnapshot {
+                begins: 101,
+                commits_query: 102,
+                commits_update: 103,
+                aborts_query: 104,
+                aborts_update: 105,
+                reads: 106,
+                writes: 107,
+                inconsistent_reads: 108,
+                inconsistent_writes: 109,
+                waits: 110,
+                wakes: 111,
+                violations_object: 112,
+                violations_group: 113,
+                violations_transaction: 114,
+                late_read_aborts: 115,
+                late_write_aborts: 116,
+                history_misses: 117,
+                thomas_skips: 118,
+                reaped_txns: 119,
+            },
+            active_txns: 201,
+            waitq_depth: 202,
+            in_flight: 203,
+            retries: 204,
+            wal_bytes: 205,
+            recoveries: 206,
+            wal_failed: true,
+            monitor: Some(MonitorSnapshot {
+                violations: 301,
+                events: 302,
+                gaps: 303,
+                missed_events: 304,
+                live_txns: 305,
+                graph_nodes: 306,
+                tracked_objects: 307,
+                retained_entries: 308,
+            }),
+            page_cache: Some(PageCacheSnapshot {
+                hits: 401,
+                misses: 402,
+                evictions: 403,
+                dirty_flushes: 404,
+                resident_pages: 405,
+                resident_bytes: 406,
+                capacity_pages: 407,
+            }),
+            replication: Some(ReplicationStats {
+                role: "primary".into(),
+                epoch: 501,
+                durable_seq: 502,
+                received_seq: 503,
+                applied_seq: 504,
+                lag_records: 505,
+                lag_micros: 506,
+                divergence_total: 507,
+                divergence_groups: vec![("g0".into(), 508)],
+                peers: vec![ReplicaPeerRow {
+                    peer: "p".into(),
+                    sent_seq: 509,
+                    lag_records: 510,
+                }],
+            }),
+            histograms: Vec::new(),
+        };
+        let text = render_metrics(&stats);
+        let rendered = |v: u64| {
+            text.lines()
+                .filter(|l| !l.starts_with('#') && l.ends_with(&format!(" {v}")))
+                .count()
+        };
+        let values = (101..=119)
+            .chain(201..=206)
+            .chain([1]) // wal_failed
+            .chain(301..=308)
+            .chain(401..=407)
+            .chain(501..=510);
+        for v in values {
+            assert_eq!(rendered(v), 1, "value {v} in:\n{text}");
+        }
+        // And no summary says "Distribution" any more.
+        let with_hist = render_metrics(&sample_stats());
+        assert!(with_hist.contains(
+            "# HELP esr_kernel_txn_latency_micros End-to-end latency of committed transactions"
+        ));
+    }
+
+    #[test]
+    fn readme_lists_every_declared_series() {
+        let readme = include_str!("../../../README.md");
+        let scalars = [
+            StatsSnapshot::METRICS,
+            ServerStats::METRICS,
+            MonitorSnapshot::METRICS,
+            PageCacheSnapshot::METRICS,
+            ReplicationStats::METRICS,
+            ReplicaPeerRow::METRICS,
+            &[ReplicationStats::DIVERGENCE_BY_GROUP],
+        ];
+        let names = scalars
+            .iter()
+            .flat_map(|set| set.iter().map(|d| d.name.to_owned()))
+            .chain(
+                HISTOGRAM_SETS
+                    .into_iter()
+                    .flatten()
+                    .map(|d| format!("esr_{}", d.name)),
+            );
+        let missing: Vec<String> = names
+            .filter(|n| !readme.contains(&format!("`{n}`")))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "README.md (\"Observing a live server\") does not list: {missing:#?}"
+        );
     }
 
     #[test]
@@ -492,8 +464,13 @@ mod tests {
 
     #[test]
     fn metrics_server_answers_http_get() {
-        let stats: StatsSource = Arc::new(sample_stats);
-        let mut srv = MetricsServer::bind("127.0.0.1:0", stats).unwrap();
+        struct Fixed;
+        impl StatsSource for Fixed {
+            fn stats(&self) -> ServerStats {
+                sample_stats()
+            }
+        }
+        let mut srv = MetricsServer::bind("127.0.0.1:0", Arc::new(Fixed)).unwrap();
         let addr = srv.local_addr();
 
         let mut conn = TcpStream::connect(addr).unwrap();

@@ -9,9 +9,10 @@
 //!
 //! Findings surface in two ways:
 //!
-//! - a [`MonitorSnapshot`] published under a mutex, which the metrics
-//!   endpoint merges into [`esr_server::ServerStats`] — scraping
-//!   `esr_conformance_violations` is the production-facing signal;
+//! - a [`MonitorSnapshot`] published under a mutex, which
+//!   [`ConformanceMonitor::report_to`] makes the `monitor` block of every
+//!   [`esr_server::ServerStats`] — scraping `esr_conformance_violations`
+//!   is the production-facing signal;
 //! - rate-limited `eprintln!` lines for the first diagnostics of each
 //!   window, so a violating server is diagnosable from its log without
 //!   the stderr volume scaling with the violation rate.
@@ -22,7 +23,7 @@
 //! preference to stalling admission.
 
 use esr_checker::EsrMonitor;
-use esr_server::MonitorSnapshot;
+use esr_server::{MonitorSnapshot, RpcHandle};
 use esr_tso::capture::EventKind;
 use esr_tso::Kernel;
 use parking_lot::Mutex;
@@ -120,7 +121,7 @@ impl ConformanceMonitor {
                                 logger.report(&diag);
                             }
                         }
-                        *shared.snapshot.lock() = snapshot_of(&checker);
+                        *shared.snapshot.lock() = checker.stats();
                         if stop.load(Ordering::Relaxed) {
                             // One final drained poll already happened;
                             // exit with the published snapshot current.
@@ -148,10 +149,12 @@ impl ConformanceMonitor {
         *self.shared.snapshot.lock()
     }
 
-    /// A cloneable reader for composing into a stats source closure.
-    pub fn snapshot_source(&self) -> impl Fn() -> MonitorSnapshot + Send + Sync + 'static {
+    /// Make the latest published counters the `monitor` block of every
+    /// snapshot `server` assembles — in process, on the wire and on
+    /// `/metrics` alike.
+    pub fn report_to(&self, server: &RpcHandle) {
         let shared = Arc::clone(&self.shared);
-        move || *shared.snapshot.lock()
+        server.register_stats(move |stats| stats.monitor = Some(*shared.snapshot.lock()));
     }
 
     /// Stop the monitor thread after it drains whatever the capture log
@@ -168,20 +171,6 @@ impl ConformanceMonitor {
 impl Drop for ConformanceMonitor {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-fn snapshot_of(checker: &EsrMonitor) -> MonitorSnapshot {
-    let s = checker.stats();
-    MonitorSnapshot {
-        violations: s.violations,
-        events: s.events,
-        gaps: s.gaps,
-        missed_events: s.missed_events,
-        live_txns: s.live_txns as u64,
-        graph_nodes: s.graph_nodes as u64,
-        tracked_objects: s.tracked_objects as u64,
-        retained_entries: s.retained_entries as u64,
     }
 }
 

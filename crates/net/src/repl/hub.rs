@@ -28,9 +28,10 @@ use esr_clock::Timestamp;
 use esr_core::ids::TxnId;
 use esr_core::value::Value;
 use esr_core::ObjectId;
-use esr_obs::HistogramSnapshot;
-use esr_server::{ReplicaPeerRow, ReplicationStats};
-use esr_storage::wal::{read_records_from, DurabilitySink, ObjectSnapshot, Wal, WalRecord};
+use esr_server::{ReplicaPeerRow, ReplicationStats, Server};
+use esr_storage::wal::{
+    read_records_from, DurabilitySink, ObjectSnapshot, SinkReport, Wal, WalRecord,
+};
 use esr_tso::Kernel;
 use std::collections::BTreeMap;
 use std::io;
@@ -82,6 +83,33 @@ struct HubShared {
 impl HubShared {
     fn lock_state(&self) -> std::sync::MutexGuard<'_, HubState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn replication_stats(&self) -> ReplicationStats {
+        let durable = self.lock_state().durable;
+        let peers = self
+            .peers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .map(|p| {
+                let sent = p.sent_seq.load(Ordering::Relaxed);
+                ReplicaPeerRow {
+                    peer: p.peer.clone(),
+                    sent_seq: sent,
+                    lag_records: durable.saturating_sub(sent),
+                }
+            })
+            .collect();
+        ReplicationStats {
+            role: "primary".into(),
+            epoch: self.epoch,
+            durable_seq: durable,
+            received_seq: durable,
+            applied_seq: durable,
+            peers,
+            ..ReplicationStats::default()
+        }
     }
 }
 
@@ -146,10 +174,16 @@ impl ReplicationHub {
         })
     }
 
-    /// Attach the booted kernel, enabling the quiesced-snapshot
-    /// fallback for subscribers behind the pruned log.
-    pub fn attach_kernel(&self, kernel: Arc<Kernel>) {
-        let _ = self.shared.kernel.set(kernel);
+    /// Attach the booted server: its kernel enables the
+    /// quiesced-snapshot fallback for subscribers behind the pruned log,
+    /// and the hub's state becomes the `replication` block of every
+    /// stats snapshot the server assembles.
+    pub fn attach(&self, server: &Server) {
+        let _ = self.shared.kernel.set(Arc::clone(server.kernel()));
+        let shared = Arc::clone(&self.shared);
+        server
+            .rpc_handle()
+            .register_stats(move |stats| stats.replication = Some(shared.replication_stats()));
     }
 
     /// Start accepting subscribers on `listener`. Returns the bound
@@ -168,31 +202,7 @@ impl ReplicationHub {
 
     /// Replication stats for the primary role.
     pub fn replication_stats(&self) -> ReplicationStats {
-        let durable = self.shared.lock_state().durable;
-        let peers = self
-            .shared
-            .peers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|p| {
-                let sent = p.sent_seq.load(Ordering::Relaxed);
-                ReplicaPeerRow {
-                    peer: p.peer.clone(),
-                    sent_seq: sent,
-                    lag_records: durable.saturating_sub(sent),
-                }
-            })
-            .collect();
-        ReplicationStats {
-            role: "primary".into(),
-            epoch: self.shared.epoch,
-            durable_seq: durable,
-            received_seq: durable,
-            applied_seq: durable,
-            peers,
-            ..ReplicationStats::default()
-        }
+        self.shared.replication_stats()
     }
 
     /// Stop the accept loop and wake every sender so it can exit.
@@ -282,20 +292,8 @@ impl DurabilitySink for ReplSink {
         self.wal.prune_segments(upto)
     }
 
-    fn wal_bytes(&self) -> u64 {
-        self.wal.wal_bytes()
-    }
-
-    fn recoveries(&self) -> u64 {
-        self.wal.recoveries()
-    }
-
-    fn failed(&self) -> bool {
-        self.wal.failed()
-    }
-
-    fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
-        self.wal.histograms()
+    fn report(&self) -> SinkReport {
+        self.wal.report()
     }
 
     fn shutdown_sink(&self) {

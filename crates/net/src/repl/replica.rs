@@ -38,7 +38,7 @@ use crate::frame::{write_frame, FrameError, FrameReader};
 use esr_core::hierarchy::HierarchySchema;
 use esr_core::value::{distance, Value};
 use esr_core::ObjectId;
-use esr_server::{NamedHistogram, ReplicationStats, ServerStats};
+use esr_server::{ReplicationStats, ServerStats, StatsSource};
 use esr_storage::catalog::CatalogConfig;
 use esr_storage::table::ObjectTable;
 use esr_storage::wal::{
@@ -383,27 +383,6 @@ impl ReplicaNode {
         }
     }
 
-    /// Everything a replica reports about itself, for the wire `Stats`
-    /// reply and `/metrics` alike: its replication state and its own
-    /// log's counters and distributions (fsync, checkpoint stall and
-    /// size). There is no kernel here, so the kernel's share stays
-    /// zero.
-    pub fn server_stats(&self) -> ServerStats {
-        let wal = Arc::clone(&self.shared.lock_engine().wal);
-        ServerStats {
-            wal_bytes: wal.wal_bytes(),
-            recoveries: wal.recoveries(),
-            wal_failed: wal.failed(),
-            replication: Some(self.replication_stats()),
-            histograms: wal
-                .histograms()
-                .into_iter()
-                .map(|(name, hist)| NamedHistogram { name, hist })
-                .collect(),
-            ..ServerStats::default()
-        }
-    }
-
     /// Replication stats for the replica role.
     pub fn replication_stats(&self) -> ReplicationStats {
         let received = self.received_seq();
@@ -447,6 +426,22 @@ impl ReplicaNode {
             }
         }
         (total, groups)
+    }
+}
+
+impl StatsSource for ReplicaNode {
+    /// Everything a replica reports about itself, for the wire `Stats`
+    /// reply and `/metrics` alike: its replication state and its own
+    /// log's report (bytes, recoveries, failure latch, and the fsync and
+    /// checkpoint distributions). There is no kernel here, so the
+    /// kernel's share stays zero.
+    fn stats(&self) -> ServerStats {
+        let mut stats = ServerStats {
+            replication: Some(self.replication_stats()),
+            ..ServerStats::default()
+        };
+        stats.add_sink(self.shared.lock_engine().wal.report());
+        stats
     }
 }
 

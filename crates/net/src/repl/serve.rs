@@ -43,7 +43,9 @@ use crate::server::busy_reject;
 use esr_core::ids::{TxnId, TxnKind};
 use esr_core::ledger::Ledger;
 use esr_core::value::distance;
-use esr_server::{BeginReply, EndReply, OpReply, StatsReply, BATCH_TOO_LARGE, MAX_BATCH};
+use esr_server::{
+    BeginReply, EndReply, OpReply, StatsReply, StatsSource, BATCH_TOO_LARGE, MAX_BATCH,
+};
 use esr_tso::capture::EventKind;
 use esr_tso::{CommitInfo, Operation};
 use std::collections::HashMap;
@@ -251,7 +253,7 @@ fn dispatch(
                 ReplyBody::End(EndReply::Aborted)
             }
         }
-        RequestBody::Stats => ReplyBody::Stats(StatsReply::Stats(Box::new(node.server_stats()))),
+        RequestBody::Stats => ReplyBody::Stats(StatsReply::Stats(Box::new(node.stats()))),
     }
 }
 

@@ -321,10 +321,7 @@ fn shutdown_of_wildcard_bound_listeners_returns_promptly() {
     // the loopback, and shut down; a hung join trips the watchdog
     // instead of hanging the test binary.
     use esr_core::hierarchy::HierarchySchema;
-    use esr_net::{
-        MetricsServer, ReplicaConfig, ReplicaNode, ReplicaServer, ReplicationHub, StatsSource,
-    };
-    use esr_server::build_server_stats;
+    use esr_net::{MetricsServer, ReplicaConfig, ReplicaNode, ReplicaServer, ReplicationHub};
     use std::net::TcpListener;
     use std::sync::Arc;
 
@@ -350,10 +347,8 @@ fn shutdown_of_wildcard_bound_listeners_returns_promptly() {
             .unwrap();
         c.commit().unwrap();
 
-        let kernel = Arc::clone(tcp.server().kernel());
-        let obs = Arc::clone(tcp.server().obs());
-        let source: StatsSource = Arc::new(move || build_server_stats(&kernel, &obs));
-        let mut metrics = MetricsServer::bind("0.0.0.0:0", source).expect("bind wildcard");
+        let mut metrics = MetricsServer::bind("0.0.0.0:0", Arc::new(tcp.server().rpc_handle()))
+            .expect("bind wildcard");
         assert!(metrics.local_addr().ip().is_unspecified());
 
         let hub = ReplicationHub::new(&hub_dir, false).expect("hub");
@@ -477,17 +472,143 @@ fn stats_travel_the_wire_and_match_the_kernel() {
 }
 
 #[test]
+fn wire_stats_of_a_monitored_shipping_primary_equal_metrics() {
+    // A primary with a replication hub and the conformance monitor: the
+    // blocks only they can fill in must reach a remote client, and the
+    // three views — in-process, wire `Stats`, `/metrics` — must be one
+    // value. (The monitor and replication blocks used to be overlaid
+    // only inside a closure built for the HTTP endpoint, so the wire
+    // reply carried `None` for both.)
+    use esr_core::hierarchy::HierarchySchema;
+    use esr_net::{
+        render_metrics, ConformanceMonitor, MetricsServer, MonitorConfig, ReplicaConfig,
+        ReplicaNode, ReplicationHub,
+    };
+    use esr_server::start_durable_with;
+    use esr_storage::wal::WalOptions;
+    use esr_tso::KernelConfig;
+    use std::io::{Read as _, Write as _};
+    use std::sync::Arc;
+
+    let scratch = |tag: &str| {
+        let dir = std::env::temp_dir().join(format!("esr-net-parity-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    let (pdir, rdir) = (scratch("primary"), scratch("replica"));
+    let catalog = CatalogConfig {
+        n_objects: 2,
+        ..CatalogConfig::default()
+    };
+    let hub = Arc::new(ReplicationHub::new(&pdir, false).unwrap());
+    let (server, _) = start_durable_with(
+        &pdir,
+        &catalog,
+        HierarchySchema::two_level(),
+        KernelConfig::default(),
+        ServerConfig::default(),
+        WalOptions::default(),
+        |wal| hub.make_sink(wal),
+    )
+    .unwrap();
+    hub.attach(&server);
+    let hub_addr = hub
+        .serve(std::net::TcpListener::bind("127.0.0.1:0").unwrap())
+        .unwrap();
+    let mut monitor = ConformanceMonitor::spawn(server.kernel(), MonitorConfig::default());
+    monitor.report_to(&server.rpc_handle());
+    let mut tcp = TcpServer::bind(server, "127.0.0.1:0").unwrap();
+    let mut metrics =
+        MetricsServer::bind("127.0.0.1:0", Arc::new(tcp.server().rpc_handle())).unwrap();
+    let node = ReplicaNode::start(ReplicaConfig {
+        data_dir: rdir.clone(),
+        primary: hub_addr.to_string(),
+        catalog,
+        schema: HierarchySchema::two_level(),
+        checkpoint_every: 0,
+        apply_delay_micros: 0,
+    })
+    .unwrap();
+
+    let mut c = client(&tcp);
+    c.begin(TxnKind::Update, TxnBounds::export(Limit::ZERO))
+        .unwrap();
+    c.write(ObjectId(0), 7).unwrap();
+    c.commit().unwrap();
+
+    // Quiesce: the commit shipped, the monitor consumed its three
+    // events, and the serving thread recorded the commit's service time
+    // (it does so just after handing the reply over).
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let stats = loop {
+        let s = c.server_stats().expect("stats over the wire");
+        let shipped = s
+            .replication
+            .as_ref()
+            .is_some_and(|r| r.peers.len() == 1 && r.peers[0].sent_seq == r.durable_seq);
+        let checked = s.monitor.is_some_and(|m| m.events == 3);
+        let recorded = s.histogram("server_end_service_micros").unwrap().count == 1;
+        if shipped && checked && recorded {
+            break s;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "primary never quiesced: {s:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let replication = stats.replication.as_ref().expect("hub block on the wire");
+    assert_eq!(replication.role, "primary");
+    assert_eq!(replication.durable_seq, 1);
+    assert_eq!(replication.peers[0].lag_records, 0);
+    assert_eq!(
+        stats.monitor.expect("monitor block on the wire").violations,
+        0
+    );
+
+    let mut conn = std::net::TcpStream::connect(metrics.local_addr()).unwrap();
+    conn.write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let mut response = String::new();
+    conn.read_to_string(&mut response).unwrap();
+    let body = response.split_once("\r\n\r\n").expect("http body").1;
+    // Only `in_flight` may differ between views taken in one quiesced
+    // instant: a wire `Stats` request counts itself, and the serving
+    // thread un-counts it just after the reply has left.
+    let settled = |mut s: esr_server::ServerStats| {
+        s.in_flight = 0;
+        s
+    };
+    let stats = settled(stats);
+    let expected = render_metrics(&stats);
+    let differing: Vec<(&str, &str)> = body
+        .lines()
+        .zip(expected.lines())
+        .filter(|(got, want)| got != want && !want.starts_with("esr_in_flight "))
+        .collect();
+    assert!(differing.is_empty(), "/metrics vs wire: {differing:#?}");
+    assert_eq!(body.lines().count(), expected.lines().count());
+    assert_eq!(stats, settled(tcp.server().stats()));
+
+    node.shutdown();
+    metrics.shutdown();
+    monitor.shutdown();
+    hub.shutdown();
+    tcp.shutdown();
+    for dir in [pdir, rdir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
 fn metrics_endpoint_serves_a_live_server() {
-    use esr_net::{MetricsServer, StatsSource};
-    use esr_server::build_server_stats;
+    use esr_net::MetricsServer;
     use std::io::{Read as _, Write as _};
     use std::sync::Arc;
 
     let tcp = tcp_server_with(&[50, 60], 2);
-    let kernel = Arc::clone(tcp.server().kernel());
-    let obs = Arc::clone(tcp.server().obs());
-    let source: StatsSource = Arc::new(move || build_server_stats(&kernel, &obs));
-    let mut metrics = MetricsServer::bind("127.0.0.1:0", source).unwrap();
+    let mut metrics =
+        MetricsServer::bind("127.0.0.1:0", Arc::new(tcp.server().rpc_handle())).unwrap();
 
     let mut c = client(&tcp);
     c.begin(TxnKind::Update, TxnBounds::export(Limit::ZERO))

@@ -18,7 +18,7 @@ use esr_core::spec::TxnBounds;
 use esr_core::value::Value;
 use esr_net::{
     is_busy_error, MetricsServer, NetClientConfig, ReplicaConfig, ReplicaNode, ReplicaServer,
-    ReplicationHub, StatsSource, TcpConnection, TcpServer,
+    ReplicationHub, TcpConnection, TcpServer,
 };
 use esr_replica::{LogEntry, Replica};
 use esr_server::{start_durable_with, ServerConfig};
@@ -71,7 +71,7 @@ fn start_primary(dir: &Path, schema: HierarchySchema, n_objects: u32) -> Primary
     )
     .unwrap();
     server.kernel().enable_capture();
-    hub.attach_kernel(Arc::clone(server.kernel()));
+    hub.attach(&server);
     let repl_addr = hub
         .serve(TcpListener::bind("127.0.0.1:0").unwrap())
         .unwrap();
@@ -345,9 +345,7 @@ fn replication_gauges_are_exported_live() {
     // The replica daemon serves the node's own stats, exactly like
     // `esr-tcpd --replica-of` does: replication state plus its log's
     // health flag and distributions.
-    let stats_node = Arc::clone(&node);
-    let source: StatsSource = Arc::new(move || stats_node.server_stats());
-    let mut metrics = MetricsServer::bind("127.0.0.1:0", source).unwrap();
+    let mut metrics = MetricsServer::bind("127.0.0.1:0", Arc::clone(&node) as _).unwrap();
     let body = http_get(metrics.local_addr());
     assert!(body.contains("esr_replica_lag_records 1"), "{body}");
     assert!(body.contains("esr_wal_failed 0"), "{body}");

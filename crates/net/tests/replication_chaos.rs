@@ -69,7 +69,7 @@ fn start_primary(dir: &Path, n_objects: u32) -> Primary {
     )
     .unwrap();
     server.kernel().enable_capture();
-    hub.attach_kernel(Arc::clone(server.kernel()));
+    hub.attach(&server);
     let repl_addr = hub
         .serve(TcpListener::bind("127.0.0.1:0").unwrap())
         .unwrap();

@@ -1,10 +1,12 @@
 //! Prometheus-style text exposition.
 //!
-//! [`TextExposition`] renders counters, gauges, and histogram
-//! snapshots into the plain-text format scraped by Prometheus and read
+//! [`TextExposition`] renders declared groups of counters and gauges
+//! ([`MetricDesc`] tables with their values) and histogram snapshots
+//! into the plain-text format scraped by Prometheus and read
 //! comfortably by humans (`# HELP` / `# TYPE` headers, summaries with
 //! `quantile` labels plus `_sum`/`_count` series).
 
+use crate::declare::{MetricDesc, MetricKind};
 use crate::hist::HistogramSnapshot;
 use std::fmt::Write as _;
 
@@ -20,51 +22,53 @@ impl TextExposition {
         TextExposition { out: String::new() }
     }
 
-    /// A monotonically increasing counter. The conventional `_total`
-    /// suffix is appended to `name`.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) -> &mut Self {
-        let _ = writeln!(self.out, "# HELP {name}_total {help}");
-        let _ = writeln!(self.out, "# TYPE {name}_total counter");
-        let _ = writeln!(self.out, "{name}_total {value}");
-        self
+    /// A declared group: each descriptor with its value, in order — a
+    /// snapshot's `METRICS` with its `values()`. Counters render
+    /// unsigned, gauges signed; the help is the declared doc comment.
+    pub fn group(&mut self, descs: &[MetricDesc], values: &[u64]) -> &mut Self {
+        self.labeled_group(descs, "", &[("", values)])
     }
 
-    /// A current-value gauge.
-    pub fn gauge(&mut self, name: &str, help: &str, value: i64) -> &mut Self {
-        let _ = writeln!(self.out, "# HELP {name} {help}");
-        let _ = writeln!(self.out, "# TYPE {name} gauge");
-        let _ = writeln!(self.out, "{name} {value}");
-        self
-    }
-
-    /// A gauge with one series per label value — e.g. per-group
-    /// replica divergence as `name{key="group"} value`. Label values
-    /// are escaped per the exposition format (backslash, quote,
-    /// newline). An empty series list still emits the HELP/TYPE
-    /// headers so scrapers see the metric exists.
-    pub fn labeled_gauge(
+    /// A declared group with one sample per row and series, labelled
+    /// `key="row label"` — e.g. per-subscriber replication progress as
+    /// `name{peer="addr"} value`. Label values are escaped per the
+    /// exposition format (backslash, quote, newline). No rows still
+    /// emits the HELP/TYPE headers, so scrapers see the series exist.
+    pub fn labeled_group<V: AsRef<[u64]>>(
         &mut self,
-        name: &str,
-        help: &str,
+        descs: &[MetricDesc],
         key: &str,
-        series: &[(String, i64)],
+        rows: &[(&str, V)],
     ) -> &mut Self {
-        let _ = writeln!(self.out, "# HELP {name} {help}");
-        let _ = writeln!(self.out, "# TYPE {name} gauge");
-        for (label, value) in series {
-            let escaped = label
-                .replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n");
-            let _ = writeln!(self.out, "{name}{{{key}=\"{escaped}\"}} {value}");
+        for (i, d) in descs.iter().enumerate() {
+            let (name, help) = (d.name, d.help.trim());
+            let kind = match d.kind {
+                MetricKind::Counter => "counter",
+                MetricKind::Gauge => "gauge",
+            };
+            let _ = writeln!(self.out, "# HELP {name} {help}");
+            let _ = writeln!(self.out, "# TYPE {name} {kind}");
+            for (label, values) in rows {
+                let labels = if key.is_empty() {
+                    String::new()
+                } else {
+                    format!("{{{key}=\"{}\"}}", escape_label(label))
+                };
+                let v = values.as_ref()[i];
+                let _ = match d.kind {
+                    MetricKind::Counter => writeln!(self.out, "{name}{labels} {v}"),
+                    MetricKind::Gauge => writeln!(self.out, "{name}{labels} {}", v as i64),
+                };
+            }
         }
         self
     }
 
     /// A latency summary from a histogram snapshot: quantile series
-    /// (0.5 / 0.9 / 0.95 / 0.99), `_max`, `_sum`, and `_count`.
+    /// (0.5 / 0.9 / 0.95 / 0.99), `_max`, `_sum`, and `_count`. `help` is
+    /// trimmed, like a group's, so a declared doc comment passes as is.
     pub fn summary(&mut self, name: &str, help: &str, snap: &HistogramSnapshot) -> &mut Self {
-        let _ = writeln!(self.out, "# HELP {name} {help}");
+        let _ = writeln!(self.out, "# HELP {name} {}", help.trim());
         let _ = writeln!(self.out, "# TYPE {name} summary");
         for (label, q) in [("0.5", 0.50), ("0.9", 0.90), ("0.95", 0.95), ("0.99", 0.99)] {
             let _ = writeln!(
@@ -90,41 +94,62 @@ impl TextExposition {
     }
 }
 
+fn escape_label(label: &str) -> String {
+    label
+        .replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hist::LatencyHistogram;
 
+    const DESCS: &[MetricDesc] = &[
+        MetricDesc {
+            name: "esr_commits_total",
+            kind: MetricKind::Counter,
+            help: " Committed transactions.",
+        },
+        MetricDesc {
+            name: "esr_in_flight",
+            kind: MetricKind::Gauge,
+            help: " Requests in service.",
+        },
+    ];
+
     #[test]
-    fn counter_and_gauge_lines() {
+    fn group_renders_each_descriptor_with_its_value() {
         let mut e = TextExposition::new();
-        e.counter("esr_commits", "Committed transactions", 42)
-            .gauge("esr_active_txns", "Live transactions", 3);
-        let s = e.render();
-        assert!(s.contains("# TYPE esr_commits_total counter"));
-        assert!(s.contains("esr_commits_total 42"));
-        assert!(s.contains("# TYPE esr_active_txns gauge"));
-        assert!(s.contains("esr_active_txns 3"));
+        e.group(DESCS, &[u64::MAX, -3i64 as u64]);
+        assert_eq!(
+            e.render(),
+            "# HELP esr_commits_total Committed transactions.\n\
+             # TYPE esr_commits_total counter\n\
+             esr_commits_total 18446744073709551615\n\
+             # HELP esr_in_flight Requests in service.\n\
+             # TYPE esr_in_flight gauge\n\
+             esr_in_flight -3\n"
+        );
     }
 
     #[test]
-    fn labeled_gauge_escapes_and_headers() {
+    fn labeled_group_renders_one_sample_per_row_and_series() {
         let mut e = TextExposition::new();
-        e.labeled_gauge(
-            "esr_replica_divergence",
-            "Divergence by group",
-            "group",
-            &[("west".into(), 7), ("a\"b\\c".into(), 0)],
-        );
+        e.labeled_group(DESCS, "peer", &[("a\"b\\c", [1, 2]), ("d", [3, 4])]);
         let s = e.render();
-        assert!(s.contains("# TYPE esr_replica_divergence gauge"));
-        assert!(s.contains("esr_replica_divergence{group=\"west\"} 7"));
-        assert!(s.contains("esr_replica_divergence{group=\"a\\\"b\\\\c\"} 0"));
+        assert!(s.contains(
+            "# TYPE esr_commits_total counter\n\
+             esr_commits_total{peer=\"a\\\"b\\\\c\"} 1\n\
+             esr_commits_total{peer=\"d\"} 3\n"
+        ));
+        assert!(s.contains("esr_in_flight{peer=\"a\\\"b\\\\c\"} 2\nesr_in_flight{peer=\"d\"} 4\n"));
 
         let mut empty = TextExposition::new();
-        empty.labeled_gauge("x", "none", "k", &[]);
-        assert!(empty.render().contains("# TYPE x gauge"));
-        assert!(!empty.render().contains("x{"));
+        empty.labeled_group::<[u64; 2]>(DESCS, "peer", &[]);
+        assert!(empty.render().contains("# TYPE esr_in_flight gauge"));
+        assert!(!empty.render().contains("esr_in_flight{"));
     }
 
     #[test]

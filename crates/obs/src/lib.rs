@@ -16,17 +16,22 @@
 //!   event traces (feature-gated at the call sites, diagnostic rather
 //!   than hot-path);
 //! - [`TextExposition`] — Prometheus-style text rendering for the
-//!   `--metrics-addr` HTTP endpoint.
+//!   `--metrics-addr` HTTP endpoint;
+//! - [`metrics!`] and [`histograms!`] — the one place a series is
+//!   declared: live cells, snapshot struct and the [`MetricDesc`] /
+//!   [`HistogramDesc`] table the exposition walks, from one line each.
 //!
 //! Everything here is deliberately dependency-light and transport
 //! agnostic: the kernel, server, and network layers own *what* to
 //! measure; this crate owns *how*.
 
+pub mod declare;
 pub mod expo;
 pub mod gauge;
 pub mod hist;
 pub mod ring;
 
+pub use declare::{HistogramDesc, MetricDesc, MetricKind};
 pub use expo::TextExposition;
 pub use gauge::Gauge;
 pub use hist::{bucket_bounds, bucket_index, HistogramSnapshot, LatencyHistogram, BUCKET_COUNT};

@@ -33,12 +33,12 @@ pub mod server;
 pub use connection::Connection;
 pub use durable::{start_durable, start_durable_with, RecoverySummary, CLOCK_EPOCH_MARGIN_MICROS};
 pub use esr_storage::PageCacheSnapshot;
-pub use obs::{RequestKind, ServerObs};
+pub use obs::{RequestKind, ServerObs, ServiceHistograms};
 pub use proto::{
     BeginReply, EndReply, MonitorSnapshot, NamedHistogram, OpReply, ReplicaPeerRow,
     ReplicationStats, ReplySink, Request, ServerStats, StatsReply, MAX_BATCH,
 };
 pub use server::{
-    build_server_stats, ConnectError, RpcHandle, Server, ServerConfig, SiteAllocator, BATCH_FAILED,
+    ConnectError, RpcHandle, Server, ServerConfig, SiteAllocator, StatsSource, BATCH_FAILED,
     BATCH_TOO_LARGE, BUSY_ERROR, SHUTDOWN_ERROR,
 };

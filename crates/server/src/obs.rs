@@ -10,7 +10,7 @@
 //! a transaction spends time: in the server, in the kernel, and parked
 //! on a wait queue.
 
-use esr_obs::{Gauge, HistogramSnapshot, LatencyHistogram};
+use esr_obs::Gauge;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -27,13 +27,28 @@ pub enum RequestKind {
     End,
 }
 
+esr_obs::histograms! {
+    /// Service time per request kind: how long the serving thread spent
+    /// on a request, handing the reply to its sink included.
+    pub struct ServiceHistograms {
+        /// Service time of `Begin` requests, in microseconds.
+        begin = "server_begin_service_micros",
+        /// Service time of `Op` requests (one read or write), in
+        /// microseconds; a parked operation counts up to the park.
+        op = "server_op_service_micros",
+        /// Service time of `Batch` requests, in microseconds.
+        batch = "server_batch_service_micros",
+        /// Service time of `End` requests, in microseconds — on a durable
+        /// server this includes the wait for the commit record's fsync.
+        end = "server_end_service_micros",
+    }
+}
+
 /// Always-on server instrumentation, shared by all serving threads.
 #[derive(Debug, Default)]
 pub struct ServerObs {
-    begin_service: LatencyHistogram,
-    op_service: LatencyHistogram,
-    batch_service: LatencyHistogram,
-    end_service: LatencyHistogram,
+    /// The declared distributions.
+    pub service: ServiceHistograms,
     /// Requests currently being serviced.
     in_flight: Gauge,
     /// Requests a client marked as resends (idempotent retries after a
@@ -51,10 +66,10 @@ impl ServerObs {
     /// Record one serviced request.
     pub fn record(&self, kind: RequestKind, service: Duration) {
         let hist = match kind {
-            RequestKind::Begin => &self.begin_service,
-            RequestKind::Op => &self.op_service,
-            RequestKind::Batch => &self.batch_service,
-            RequestKind::End => &self.end_service,
+            RequestKind::Begin => &self.service.begin,
+            RequestKind::Op => &self.service.op,
+            RequestKind::Batch => &self.service.batch,
+            RequestKind::End => &self.service.end,
         };
         hist.record_duration(service);
     }
@@ -73,18 +88,6 @@ impl ServerObs {
     pub fn retries(&self) -> u64 {
         self.retries.load(Ordering::Relaxed)
     }
-
-    /// Snapshot all histograms as `(name, snapshot)` pairs.
-    pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
-        [
-            ("server_begin_service_micros", &self.begin_service),
-            ("server_op_service_micros", &self.op_service),
-            ("server_batch_service_micros", &self.batch_service),
-            ("server_end_service_micros", &self.end_service),
-        ]
-        .map(|(name, hist)| (name.to_owned(), hist.snapshot()))
-        .into()
-    }
 }
 
 #[cfg(test)]
@@ -96,11 +99,11 @@ mod tests {
         let obs = ServerObs::new();
         obs.record(RequestKind::Op, Duration::from_micros(50));
         obs.record(RequestKind::End, Duration::from_micros(50));
-        let hists = obs.histograms();
+        let hists = obs.service.snapshots();
         let count_of = |name: &str| {
             hists
                 .iter()
-                .find(|(n, _)| n == name)
+                .find(|(n, _)| *n == name)
                 .map(|(_, s)| s.count)
                 .unwrap()
         };

@@ -11,8 +11,10 @@ use crossbeam::channel::Sender;
 use esr_clock::Timestamp;
 use esr_core::ids::{TxnId, TxnKind};
 use esr_core::spec::TxnBounds;
-use esr_obs::HistogramSnapshot;
+use esr_obs::{HistogramSnapshot, MetricDesc, MetricKind};
+use esr_storage::wal::SinkReport;
 use esr_storage::PageCacheSnapshot;
+pub use esr_tso::MonitorSnapshot;
 use esr_tso::{AbortReason, CommitInfo, Operation, StatsSnapshot};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -66,125 +68,127 @@ pub struct NamedHistogram {
     pub hist: HistogramSnapshot,
 }
 
-/// Counters of a live conformance monitor tailing the capture stream
-/// (`esr-tcpd --monitor`). All gauges reflect the monitor thread's last
-/// published snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MonitorSnapshot {
-    /// Error-level conformance diagnostics found so far. Zero on a
-    /// healthy server; any other value means the kernel's ESR claims
-    /// failed validation (or the stream gapped).
-    pub violations: u64,
-    /// Capture events the monitor has processed.
-    pub events: u64,
-    /// Stream discontinuities observed.
-    pub gaps: u64,
-    /// Events evicted from the capture log before the monitor read them.
-    pub missed_events: u64,
-    /// Transactions currently live in the monitor's replay engine.
-    pub live_txns: u64,
-    /// Update transactions currently held in the conflict graph.
-    pub graph_nodes: u64,
-    /// Objects with retained access-log entries.
-    pub tracked_objects: u64,
-    /// Total retained access-log entries (the memory-bound gauge).
-    pub retained_entries: u64,
+esr_obs::metrics! {
+    /// One subscribed replica, as seen from the primary's shipping hub;
+    /// on `/metrics` each series carries a `peer` label.
+    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ReplicaPeerRow {
+        fields {
+            /// The subscriber's remote address.
+            pub peer: String,
+        }
+        series "esr_replication_peer_" {
+            /// Highest log sequence number shipped to this subscriber.
+            gauge sent_seq,
+            /// Durable records not yet sent to this subscriber.
+            gauge lag_records,
+        }
+    }
 }
 
-/// One subscribed replica, as seen from the primary's shipping hub.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReplicaPeerRow {
-    /// The subscriber's remote address.
-    pub peer: String,
-    /// Highest log sequence number shipped to this subscriber.
-    pub sent_seq: u64,
-    /// Records the subscriber still trails the durable watermark by.
-    pub lag_records: u64,
+esr_obs::metrics! {
+    /// Replication state, reported by both roles: a primary describes its
+    /// shipping hub (epoch, durable watermark, subscribed peers); a replica
+    /// describes its apply pipeline (received/applied watermarks, lag, and
+    /// the divergence of its local copy from the shipped primary shadow).
+    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ReplicationStats {
+        fields {
+            /// `"primary"` or `"replica"`.
+            pub role: String,
+        }
+        series "esr_replica_" {
+            /// The fencing epoch this node serves or follows.
+            gauge epoch,
+            /// Primary: highest fsynced log sequence. Replica: the primary's
+            /// advertised durable watermark (0 until the first heartbeat).
+            gauge durable_seq,
+            /// Replica: highest record ingested from the stream (shadow
+            /// watermark). Primary: equal to `durable_seq`.
+            gauge received_seq,
+            /// Replica: highest record applied to the local data copy and its
+            /// own log. Primary: equal to `durable_seq`.
+            gauge applied_seq,
+            /// Records received but not yet applied locally.
+            gauge lag_records,
+            /// Age of the oldest ingested-but-unapplied record, in microseconds
+            /// (0 when fully caught up).
+            gauge lag_micros,
+            /// Sum over all objects of `distance(local value, primary shadow)`.
+            gauge divergence_total,
+        }
+        fields {
+            /// The same divergence, broken down by top-level hierarchy group
+            /// (`esr_replica_divergence{group=..}` on `/metrics`).
+            pub divergence_groups: Vec<(String, u64)>,
+            /// Primary only: one row per live subscriber.
+            pub peers: Vec<ReplicaPeerRow>,
+        }
+    }
 }
 
-/// Replication state, reported by both roles: a primary describes its
-/// shipping hub (epoch, durable watermark, subscribed peers); a replica
-/// describes its apply pipeline (received/applied watermarks, lag, and
-/// the divergence of its local copy from the shipped primary shadow).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReplicationStats {
-    /// `"primary"` or `"replica"`.
-    pub role: String,
-    /// The fencing epoch this node operates under.
-    pub epoch: u64,
-    /// Primary: highest fsynced log sequence. Replica: the primary's
-    /// advertised durable watermark (0 until the first heartbeat).
-    pub durable_seq: u64,
-    /// Replica: highest record ingested from the stream (shadow
-    /// watermark). Primary: equal to `durable_seq`.
-    pub received_seq: u64,
-    /// Replica: highest record applied to the local data copy and its
-    /// own log. Primary: equal to `durable_seq`.
-    pub applied_seq: u64,
-    /// Records known to exist but not yet applied locally.
-    pub lag_records: u64,
-    /// Age of the oldest ingested-but-unapplied record, in microseconds
-    /// (0 when fully caught up).
-    pub lag_micros: u64,
-    /// Sum over all objects of `distance(local value, primary shadow)`.
-    pub divergence_total: u64,
-    /// The same divergence, broken down by top-level hierarchy group.
-    pub divergence_groups: Vec<(String, u64)>,
-    /// Primary only: one row per live subscriber.
-    pub peers: Vec<ReplicaPeerRow>,
+esr_obs::metrics! {
+    /// Everything a live server reports about itself: kernel counters,
+    /// gauges, and latency histograms. Serializable, so the TCP transport
+    /// ships it to remote clients unchanged; a `#[serde(default)]` field
+    /// is one that snapshots from servers older than it do not carry.
+    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ServerStats {
+        fields {
+            /// The kernel's monotonic counters.
+            pub kernel: StatsSnapshot,
+        }
+        series "esr_" {
+            /// Currently active transactions.
+            gauge active_txns,
+            /// Operations parked on kernel wait queues right now.
+            gauge waitq_depth,
+            /// Requests currently being served.
+            gauge in_flight: i64,
+            /// Client-marked request resends observed by the transport
+            /// (retries after lost replies, reconnects, or busy rejects).
+            #[serde(default)]
+            counter retries,
+            /// Bytes appended to the write-ahead log by this process (0
+            /// without a durability sink).
+            #[serde(default)]
+            gauge wal_bytes,
+            /// Crash recoveries this process performed at startup (0 on a
+            /// fresh boot or without durability).
+            #[serde(default)]
+            gauge recoveries,
+            /// 1 once the write-ahead log has hit an I/O error and stopped
+            /// acknowledging commits: fix the disk and restart.
+            #[serde(default)]
+            gauge wal_failed: bool,
+        }
+        fields {
+            /// The conformance monitor's counters (`--monitor` only).
+            #[serde(default)]
+            pub monitor: Option<MonitorSnapshot>,
+            /// Buffer-pool counters (only when the object table is backed
+            /// by the paged heap, i.e. started with a page-cache budget).
+            #[serde(default)]
+            pub page_cache: Option<PageCacheSnapshot>,
+            /// Replication state (only on a node that ships or applies a
+            /// replication stream).
+            #[serde(default)]
+            pub replication: Option<ReplicationStats>,
+            /// Every declared latency histogram: the server's, the
+            /// kernel's and the durability sink's.
+            pub histograms: Vec<NamedHistogram>,
+        }
+    }
 }
 
-/// Everything a live server reports about itself: kernel counters,
-/// gauges, and latency histograms. Serializable, so the TCP transport
-/// ships it to remote clients unchanged.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServerStats {
-    /// The kernel's monotonic counters.
-    pub kernel: StatsSnapshot,
-    /// Currently active transactions (gauge).
-    pub active_txns: u64,
-    /// Operations parked on kernel wait queues right now (gauge).
-    pub waitq_depth: u64,
-    /// Requests currently being served (gauge).
-    pub in_flight: i64,
-    /// Client-marked request resends observed by the transport
-    /// (idempotent retries after lost replies, reconnects, or busy
-    /// rejects). Absent in snapshots from pre-retry servers.
-    #[serde(default)]
-    pub retries: u64,
-    /// Bytes appended to the write-ahead log by this process (0 when no
-    /// durability sink is attached). Absent in snapshots from
-    /// pre-durability servers.
-    #[serde(default)]
-    pub wal_bytes: u64,
-    /// Crash recoveries this process performed at startup (0 on a fresh
-    /// boot or without durability). Absent in snapshots from
-    /// pre-durability servers.
-    #[serde(default)]
-    pub recoveries: u64,
-    /// The write-ahead log hit an I/O error and stopped: commits are no
-    /// longer being acknowledged and the daemon needs its disk fixed
-    /// and a restart. Absent in snapshots from servers that wedged
-    /// quietly instead.
-    #[serde(default)]
-    pub wal_failed: bool,
-    /// Live conformance-monitor counters (`None` unless the server runs
-    /// with `--monitor`). Absent in snapshots from pre-monitor servers.
-    #[serde(default)]
-    pub monitor: Option<MonitorSnapshot>,
-    /// Buffer-pool counters (`None` unless the object table is backed
-    /// by the paged heap, i.e. the server was started with a page-cache
-    /// budget). Absent in snapshots from pre-pager servers.
-    #[serde(default)]
-    pub page_cache: Option<PageCacheSnapshot>,
-    /// Replication state (`None` unless the node ships or applies a
-    /// replication stream). Absent in snapshots from pre-replication
-    /// servers.
-    #[serde(default)]
-    pub replication: Option<ReplicationStats>,
-    /// All latency histograms: per-request-kind service time, plus the
-    /// kernel's op-service, park-wait, and txn-latency distributions.
-    pub histograms: Vec<NamedHistogram>,
+impl ReplicationStats {
+    /// The `divergence_groups` breakdown as a series, one sample per
+    /// `group` label.
+    pub const DIVERGENCE_BY_GROUP: MetricDesc = MetricDesc {
+        name: "esr_replica_divergence",
+        kind: MetricKind::Gauge,
+        help: "Divergence between local values and primary shadows, by hierarchy group.",
+    };
 }
 
 impl ServerStats {
@@ -194,6 +198,27 @@ impl ServerStats {
             .iter()
             .find(|h| h.name == name)
             .map(|h| &h.hist)
+    }
+
+    /// Append a declared histogram set's snapshots (`snapshots()` of a
+    /// struct declared with `esr_obs::histograms!`).
+    pub fn add_histograms(&mut self, snapshots: Vec<(&'static str, HistogramSnapshot)>) {
+        self.histograms
+            .extend(snapshots.into_iter().map(|(name, hist)| NamedHistogram {
+                name: name.to_owned(),
+                hist,
+            }));
+    }
+
+    /// Fold in a durability sink's report: the log's scalars and its
+    /// histograms. The one place a [`SinkReport`] meets the wire format,
+    /// used by a primary's snapshot and by a replica node (a log, no
+    /// kernel) alike.
+    pub fn add_sink(&mut self, report: SinkReport) {
+        self.wal_bytes = report.wal_bytes;
+        self.recoveries = report.recoveries;
+        self.wal_failed = report.failed;
+        self.add_histograms(report.histograms);
     }
 }
 

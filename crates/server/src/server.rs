@@ -3,9 +3,7 @@
 use crate::connection::Connection;
 use crate::obs::{RequestKind, ServerObs};
 use crate::proto::MAX_BATCH;
-use crate::proto::{
-    BeginReply, EndReply, NamedHistogram, OpReply, ReplySink, Request, ServerStats, StatsReply,
-};
+use crate::proto::{BeginReply, EndReply, OpReply, ReplySink, Request, ServerStats, StatsReply};
 use esr_clock::{
     CorrectionFactor, ManualTimeSource, SkewedSource, SystemTimeSource, TimeSource,
     TimestampGenerator,
@@ -294,6 +292,7 @@ impl Server {
             kernel,
             pending: Arc::new(PendingShards::new()),
             obs: Arc::new(ServerObs::new()),
+            contributors: Arc::new(RwLock::new(Vec::new())),
             down: Arc::new(RwLock::new(false)),
         };
         let (kernel, reference) = (&rpc.kernel, &rpc.reference);
@@ -346,17 +345,11 @@ impl Server {
         &self.rpc.kernel
     }
 
-    /// The request instrumentation (queue wait, service time, in-flight
-    /// gauge).
-    pub fn obs(&self) -> &Arc<ServerObs> {
-        &self.rpc.obs
-    }
-
-    /// The full live snapshot: kernel counters, gauges, and every
-    /// latency histogram. The same data a remote client obtains through
-    /// a `Stats` request.
+    /// The full live snapshot ([`StatsSource::stats`] of the server's
+    /// [`RpcHandle`]): the value a remote client obtains through a
+    /// `Stats` request and `/metrics` renders.
     pub fn stats(&self) -> ServerStats {
-        build_server_stats(&self.rpc.kernel, &self.rpc.obs)
+        self.rpc.stats()
     }
 
     /// The manually driven reference clock, when `virtual_time` is on.
@@ -464,6 +457,18 @@ impl Drop for Server {
     }
 }
 
+/// Adds to every [`ServerStats`] snapshot a block the server itself
+/// cannot see.
+type StatsContributor = Box<dyn Fn(&mut ServerStats) + Send + Sync>;
+
+/// Anything that reports a full [`ServerStats`] — a primary's
+/// [`RpcHandle`], a replica node — and can therefore answer a `Stats`
+/// request and back a metrics endpoint with the same value.
+pub trait StatsSource: Send + Sync {
+    /// A fresh snapshot.
+    fn stats(&self) -> ServerStats;
+}
+
 /// The doorway into a running server: runs requests against the kernel
 /// on the caller's thread and answers the connection handshake.
 /// Cloneable; each network listener holds one, and so does every
@@ -475,6 +480,9 @@ pub struct RpcHandle {
     kernel: Arc<Kernel>,
     pending: PendingReplies,
     obs: Arc<ServerObs>,
+    /// Fill in the snapshot blocks only their owners know (conformance
+    /// monitor, replication hub); see [`RpcHandle::register_stats`].
+    contributors: Arc<RwLock<Vec<StatsContributor>>>,
     /// `true` once shutdown has begun. [`RpcHandle::serve`] holds it
     /// shared for the length of a request, so [`Server::shutdown`],
     /// which takes it exclusively, waits for the requests in service.
@@ -566,15 +574,20 @@ impl RpcHandle {
                 }
             }
             Request::Stats { reply } => {
-                reply.send(StatsReply::Stats(Box::new(build_server_stats(
-                    kernel, &self.obs,
-                ))));
+                reply.send(StatsReply::Stats(Box::new(self.stats())));
             }
         }
         if let Some(kind) = kind {
             self.obs.record(kind, service_start.elapsed());
         }
         self.obs.in_flight().dec();
+    }
+
+    /// Have `contribute` fill in its block of every later snapshot.
+    /// The conformance monitor (`monitor`) and the replication hub
+    /// (`replication`) register here once, at start-up.
+    pub fn register_stats(&self, contribute: impl Fn(&mut ServerStats) + Send + Sync + 'static) {
+        self.contributors.write().push(Box::new(contribute));
     }
 
     /// Allocate a site id for a new remote connection.
@@ -624,6 +637,36 @@ impl RpcHandle {
     }
 }
 
+impl StatsSource for RpcHandle {
+    /// The live snapshot — kernel counters, server gauges, page cache,
+    /// durability sink, every declared histogram, then each registered
+    /// contributor's block. The only assembler: [`Server::stats`], the
+    /// wire `Stats` reply and `/metrics` all return this value.
+    fn stats(&self) -> ServerStats {
+        let kernel = &self.kernel;
+        let mut stats = ServerStats {
+            kernel: kernel.stats(),
+            active_txns: kernel.active_txns() as u64,
+            waitq_depth: kernel.waitq_depth() as u64,
+            in_flight: self.obs.in_flight().get(),
+            retries: self.obs.retries(),
+            page_cache: kernel.table().page_cache_stats(),
+            ..ServerStats::default()
+        };
+        stats.add_histograms(self.obs.service.snapshots());
+        if let Some(kobs) = kernel.obs() {
+            stats.add_histograms(kobs.snapshots());
+        }
+        if let Some(d) = kernel.durability() {
+            stats.add_sink(d.sink().report());
+        }
+        for contribute in self.contributors.read().iter() {
+            contribute(&mut stats);
+        }
+        stats
+    }
+}
+
 /// The reaper thread: periodically advance the kernel lease clock from
 /// the server reference clock and abort expired transactions. Runs
 /// on a thread of its own so reaping keeps working when every serving
@@ -654,54 +697,6 @@ pub(crate) fn reap_expired_txns(kernel: &Kernel, pending: &PendingReplies) -> us
 fn answer_reaped(pending: &PendingReplies, txn: TxnId) {
     if let Some(sink) = pending.remove(txn) {
         sink.send(OpReply::Aborted(AbortReason::Reaped));
-    }
-}
-
-/// Assemble the live snapshot from the kernel and request
-/// instrumentation. Public so transports (the metrics endpoint) can
-/// build the same snapshot from the cloneable `Arc`s.
-pub fn build_server_stats(kernel: &Kernel, obs: &ServerObs) -> ServerStats {
-    let mut histograms: Vec<NamedHistogram> = obs
-        .histograms()
-        .into_iter()
-        .map(|(name, hist)| NamedHistogram { name, hist })
-        .collect();
-    if let Some(kobs) = kernel.obs() {
-        histograms.extend(
-            kobs.histograms()
-                .into_iter()
-                .map(|(name, hist)| NamedHistogram { name, hist }),
-        );
-    }
-    let (wal_bytes, recoveries, wal_failed) = match kernel.durability() {
-        Some(d) => {
-            let sink = d.sink();
-            histograms.extend(
-                sink.histograms()
-                    .into_iter()
-                    .map(|(name, hist)| NamedHistogram { name, hist }),
-            );
-            (sink.wal_bytes(), sink.recoveries(), sink.failed())
-        }
-        None => (0, 0, false),
-    };
-    ServerStats {
-        kernel: kernel.stats(),
-        active_txns: kernel.active_txns() as u64,
-        waitq_depth: kernel.waitq_depth() as u64,
-        in_flight: obs.in_flight().get(),
-        retries: obs.retries(),
-        wal_bytes,
-        recoveries,
-        wal_failed,
-        // Conformance monitoring is a transport-level concern: the
-        // esr-net daemon overlays its monitor snapshot on top of this.
-        monitor: None,
-        page_cache: kernel.table().page_cache_stats(),
-        // Replication is likewise overlaid by the daemon (primary hub
-        // or replica node) that knows its own role.
-        replication: None,
-        histograms,
     }
 }
 

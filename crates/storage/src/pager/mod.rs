@@ -130,11 +130,9 @@ pub struct PagedHeap {
     flush_gate: RwLock<()>,
     shards: Vec<Shard>,
     shard_capacity: usize,
-    cache_pages: usize,
     /// This boot's epoch; pages stamped lower are sanitized on load.
     epoch: u32,
     stats: PoolStats,
-    resident_bytes: AtomicU64,
     max_ts_ticks: AtomicU64,
     /// Attached once durability is enabled; drives WAL-before-page.
     wal: OnceLock<Arc<dyn DurabilitySink>>,
@@ -157,7 +155,7 @@ impl std::fmt::Debug for PagedHeap {
         f.debug_struct("PagedHeap")
             .field("objects", &self.directory.len())
             .field("logical_pages", &self.page_map.len())
-            .field("cache_pages", &self.cache_pages)
+            .field("cache_pages", &self.stats.capacity_pages)
             .field("epoch", &self.epoch)
             .finish()
     }
@@ -303,10 +301,11 @@ impl PagedHeap {
             flush_gate: RwLock::new(()),
             shards: (0..shards).map(|_| Shard::default()).collect(),
             shard_capacity,
-            cache_pages: cfg.cache_pages,
             epoch,
-            stats: PoolStats::default(),
-            resident_bytes: AtomicU64::new(0),
+            stats: PoolStats {
+                capacity_pages: AtomicU64::new(cfg.cache_pages as u64),
+                ..PoolStats::default()
+            },
             max_ts_ticks: AtomicU64::new(max_ts_ticks),
             wal: OnceLock::new(),
             flushes: AtomicU64::new(0),
@@ -364,15 +363,7 @@ impl PagedHeap {
 
     /// Point-in-time cache counters.
     pub fn cache_stats(&self) -> PageCacheSnapshot {
-        PageCacheSnapshot {
-            hits: self.stats.hits.load(Ordering::Relaxed),
-            misses: self.stats.misses.load(Ordering::Relaxed),
-            evictions: self.stats.evictions.load(Ordering::Relaxed),
-            dirty_flushes: self.stats.dirty_flushes.load(Ordering::Relaxed),
-            resident_pages: self.stats.resident_pages.load(Ordering::Relaxed),
-            resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
-            capacity_pages: self.cache_pages as u64,
-        }
+        self.stats.snapshot()
     }
 
     /// Pin the frame holding `id` and lock its slot.
@@ -515,11 +506,11 @@ impl PagedHeap {
             self.stats
                 .resident_pages
                 .fetch_sub(u64::from(old_pages), Ordering::Relaxed);
-            self.resident_bytes.fetch_add(
+            self.stats.resident_bytes.fetch_add(
                 u64::from(pages) * self.file.page_size() as u64,
                 Ordering::Relaxed,
             );
-            self.resident_bytes.fetch_sub(
+            self.stats.resident_bytes.fetch_sub(
                 u64::from(old_pages) * self.file.page_size() as u64,
                 Ordering::Relaxed,
             );
@@ -537,7 +528,8 @@ impl PagedHeap {
         self.stats
             .resident_pages
             .fetch_add(pages, Ordering::Relaxed);
-        self.resident_bytes
+        self.stats
+            .resident_bytes
             .fetch_add(pages * self.file.page_size() as u64, Ordering::Relaxed);
     }
 
@@ -546,7 +538,8 @@ impl PagedHeap {
         self.stats
             .resident_pages
             .fetch_sub(pages, Ordering::Relaxed);
-        self.resident_bytes
+        self.stats
+            .resident_bytes
             .fetch_sub(pages * self.file.page_size() as u64, Ordering::Relaxed);
     }
 

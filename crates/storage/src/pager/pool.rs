@@ -152,34 +152,28 @@ impl ShardInner {
     }
 }
 
-/// Shared cache counters.
-#[derive(Debug, Default)]
-pub(crate) struct PoolStats {
-    pub(crate) hits: AtomicU64,
-    pub(crate) misses: AtomicU64,
-    pub(crate) evictions: AtomicU64,
-    pub(crate) dirty_flushes: AtomicU64,
-    pub(crate) resident_pages: AtomicU64,
-}
-
-/// A point-in-time view of the page cache, exported over the stats
-/// wire and rendered on the Prometheus endpoint.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PageCacheSnapshot {
-    /// Pins satisfied from a cached frame.
-    pub hits: u64,
-    /// Pins that had to read the heap file.
-    pub misses: u64,
-    /// Frames evicted to make room.
-    pub evictions: u64,
-    /// Dirty page write-backs (evictions and checkpoint flushes).
-    pub dirty_flushes: u64,
-    /// Physical pages currently cached.
-    pub resident_pages: u64,
-    /// Bytes of heap-file extent currently cached.
-    pub resident_bytes: u64,
-    /// Configured cache capacity, in pages.
-    pub capacity_pages: u64,
+esr_obs::metrics! {
+    /// A point-in-time view of the page cache, exported over the stats
+    /// wire and rendered on the Prometheus endpoint.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct PageCacheSnapshot / PoolStats {
+        series "esr_page_cache_" {
+            /// Object pins satisfied from a cached page frame.
+            counter hits,
+            /// Object pins that had to read the heap file.
+            counter misses,
+            /// Page frames evicted by the CLOCK sweep to make room.
+            counter evictions,
+            /// Dirty page write-backs (evictions and incremental checkpoints).
+            counter dirty_flushes,
+            /// Heap pages currently decoded in the buffer pool.
+            gauge resident_pages,
+            /// Bytes of heap-file extent currently cached.
+            gauge resident_bytes,
+            /// Configured buffer-pool capacity, in pages.
+            gauge capacity_pages,
+        }
+    }
 }
 
 #[cfg(test)]

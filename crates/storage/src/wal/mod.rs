@@ -54,7 +54,7 @@ use esr_clock::Timestamp;
 use esr_core::codec;
 use esr_core::ids::{ObjectId, TxnId};
 use esr_core::value::Value;
-use esr_obs::{HistogramSnapshot, LatencyHistogram};
+use esr_obs::HistogramSnapshot;
 use serde::{Deserialize, Serialize};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -124,23 +124,46 @@ pub trait DurabilitySink: Send + Sync {
     fn prune_segments(&self, _upto: u64) -> io::Result<()> {
         Ok(())
     }
-    /// Total bytes appended to the log by this process.
-    fn wal_bytes(&self) -> u64;
-    /// Recoveries performed (0 on a fresh boot, 1 after a restart that
-    /// found durable state).
-    fn recoveries(&self) -> u64;
-    /// Whether the log has failed for good (a write or fsync error):
-    /// no later commit will ever be reported durable.
-    fn failed(&self) -> bool {
-        false
-    }
-    /// Every distribution the sink measures, as `(metric name,
-    /// snapshot)` pairs for `ServerStats::histograms`.
-    fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
-        Vec::new()
+    /// Everything the sink reports about itself, in one call (see
+    /// [`SinkReport`]). Default: nothing, for in-memory sinks.
+    fn report(&self) -> SinkReport {
+        SinkReport::default()
     }
     /// Flush everything pending and stop background work. Idempotent.
     fn shutdown_sink(&self);
+}
+
+/// What a [`DurabilitySink`] reports about itself: the scalars a
+/// `ServerStats` snapshot carries at its top level (wire format, so
+/// they cannot nest) and every distribution the sink declares.
+#[derive(Debug, Clone, Default)]
+pub struct SinkReport {
+    /// Total bytes appended to the log by this process.
+    pub wal_bytes: u64,
+    /// Recoveries performed (0 on a fresh boot, 1 after a restart that
+    /// found durable state).
+    pub recoveries: u64,
+    /// Whether the log has failed for good (a write or fsync error):
+    /// no later commit will ever be reported durable.
+    pub failed: bool,
+    /// The sink's histograms under their declared names
+    /// ([`WalHistograms::HISTOGRAMS`] for a [`Wal`]).
+    pub histograms: Vec<(&'static str, HistogramSnapshot)>,
+}
+
+esr_obs::histograms! {
+    /// The distributions a [`Wal`] measures.
+    pub struct WalHistograms {
+        /// One `fdatasync` of the log segment by the group-commit flusher,
+        /// in microseconds.
+        fsync_micros = "fsync_micros",
+        /// Time spent writing one checkpoint, in microseconds — commits
+        /// are quiesced for all of it (the kernel's commit gate on a
+        /// primary, the engine lock on a replica).
+        checkpoint_micros = "checkpoint_micros",
+        /// Size of each checkpoint file written, in bytes.
+        checkpoint_bytes = "checkpoint_bytes",
+    }
 }
 
 /// Fault-injection knobs, used by the crash tests and `esr-tcpd`'s
@@ -191,13 +214,7 @@ struct Shared {
     /// Latched by the flusher when a write or fsync fails; it then
     /// exits, so the durable watermark never moves again.
     failed: AtomicBool,
-    fsync_micros: LatencyHistogram,
-    /// Time spent in [`DurabilitySink::write_checkpoint`] — commits are
-    /// quiesced for all of it (the kernel's commit gate on a primary,
-    /// the engine lock on a replica).
-    checkpoint_micros: LatencyHistogram,
-    /// Size of each checkpoint file written.
-    checkpoint_bytes: LatencyHistogram,
+    hist: WalHistograms,
     torn_write_after: Option<u64>,
 }
 
@@ -239,9 +256,7 @@ impl Wal {
             bytes: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
             failed: AtomicBool::new(false),
-            fsync_micros: LatencyHistogram::new(),
-            checkpoint_micros: LatencyHistogram::new(),
-            checkpoint_bytes: LatencyHistogram::new(),
+            hist: WalHistograms::default(),
             torn_write_after: opts.torn_write_after,
         });
         let flusher = {
@@ -295,7 +310,7 @@ impl std::fmt::Debug for Wal {
         f.debug_struct("Wal")
             .field("dir", &self.shared.dir)
             .field("appended", &self.appended_seq())
-            .field("bytes", &self.wal_bytes())
+            .field("bytes", &self.shared.bytes)
             .finish()
     }
 }
@@ -405,8 +420,11 @@ impl DurabilitySink for Wal {
         let bytes = checkpoint::write_checkpoint(&self.shared.dir, seq, next_txn, objects)?;
         // Everything logged so far is covered by the checkpoint.
         self.prune_segments(seq)?;
-        self.shared.checkpoint_bytes.record(bytes);
-        self.shared.checkpoint_micros.record_duration(t0.elapsed());
+        self.shared.hist.checkpoint_bytes.record(bytes);
+        self.shared
+            .hist
+            .checkpoint_micros
+            .record_duration(t0.elapsed());
         Ok(())
     }
 
@@ -425,26 +443,13 @@ impl DurabilitySink for Wal {
         Ok(())
     }
 
-    fn wal_bytes(&self) -> u64 {
-        self.shared.bytes.load(Ordering::Relaxed)
-    }
-
-    fn recoveries(&self) -> u64 {
-        self.shared.recoveries.load(Ordering::Relaxed)
-    }
-
-    fn failed(&self) -> bool {
-        self.shared.failed.load(Ordering::SeqCst)
-    }
-
-    fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
-        [
-            ("fsync_micros", &self.shared.fsync_micros),
-            ("checkpoint_micros", &self.shared.checkpoint_micros),
-            ("checkpoint_bytes", &self.shared.checkpoint_bytes),
-        ]
-        .map(|(name, hist)| (name.to_owned(), hist.snapshot()))
-        .into()
+    fn report(&self) -> SinkReport {
+        SinkReport {
+            wal_bytes: self.shared.bytes.load(Ordering::Relaxed),
+            recoveries: self.shared.recoveries.load(Ordering::Relaxed),
+            failed: self.shared.failed.load(Ordering::SeqCst),
+            histograms: self.shared.hist.snapshots(),
+        }
     }
 
     fn shutdown_sink(&self) {
@@ -528,7 +533,7 @@ fn flusher_loop(shared: &Shared) {
             if let Err(e) = seg.file.sync_data() {
                 return fail(shared, "fdatasync", last_seq, &e);
             }
-            shared.fsync_micros.record_duration(t0.elapsed());
+            shared.hist.fsync_micros.record_duration(t0.elapsed());
         }
         {
             let mut durable = lock(&shared.flushed);
@@ -798,7 +803,7 @@ pub(crate) mod tests {
                 assert_eq!(last, seq);
             }
             wal.sync_to(last);
-            assert!(wal.wal_bytes() > 0);
+            assert!(wal.report().wal_bytes > 0);
             wal.shutdown();
             wal.shutdown(); // idempotent
         }
@@ -868,7 +873,7 @@ pub(crate) mod tests {
     fn flusher_io_error_is_latched_and_never_reports_the_record_durable() {
         let dir = tempdir("wal-failed");
         let wal = Arc::new(Wal::open(&dir, 1, WalOptions::default()).unwrap());
-        assert!(!wal.failed());
+        assert!(!wal.report().failed);
         // A read-only handle in the segment's place: the next write
         // fails with EBADF, whoever runs the test.
         let path = list_segments(&dir).unwrap().pop().unwrap().0;
@@ -883,7 +888,7 @@ pub(crate) mod tests {
             })
         };
         let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        while !wal.failed() {
+        while !wal.report().failed {
             assert!(Instant::now() < deadline, "failure never latched");
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
@@ -894,7 +899,7 @@ pub(crate) mod tests {
         assert_eq!(*lock(&wal.shared.flushed), 0);
         wal.shutdown(); // releases the waiter
         waiter.join().unwrap();
-        assert!(wal.failed());
+        assert!(wal.report().failed);
         let _ = fs::remove_dir_all(&dir);
     }
 

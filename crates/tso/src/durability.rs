@@ -187,12 +187,6 @@ mod tests {
             self.checkpoints.fetch_add(1, Ordering::SeqCst);
             Ok(())
         }
-        fn wal_bytes(&self) -> u64 {
-            0
-        }
-        fn recoveries(&self) -> u64 {
-            0
-        }
         fn shutdown_sink(&self) {}
     }
 

@@ -49,8 +49,8 @@ pub mod waitq;
 pub use config::{ExportRule, HistoryMissPolicy, KernelConfig};
 pub use durability::Durability;
 pub use kernel::{Kernel, KernelError};
-pub use obs::{KernelObs, TxnEvent, TxnEventKind};
+pub use obs::{KernelHistograms, KernelObs, TxnEvent, TxnEventKind};
 pub use outcome::{
     AbortReason, CommitInfo, OpOutcome, OpResponse, Operation, PendingOp, TxnEndResponse,
 };
-pub use stats::{KernelStats, StatsSnapshot};
+pub use stats::{KernelStats, MonitorSnapshot, StatsSnapshot};

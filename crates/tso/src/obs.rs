@@ -27,7 +27,6 @@
 use esr_clock::{SystemTimeSource, TimeSource};
 use esr_core::error::ViolationLevel;
 use esr_core::ids::{ObjectId, TxnId, TxnKind};
-use esr_obs::{HistogramSnapshot, LatencyHistogram};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -92,17 +91,28 @@ pub enum TxnEventKind {
     },
 }
 
-/// The kernel's observability surface: three latency histograms plus
+esr_obs::histograms! {
+    /// The kernel's latency distributions, in microseconds on the obs
+    /// clock.
+    pub struct KernelHistograms {
+        /// Service time of every `read`/`write` call, including parked and
+        /// aborted outcomes (the decision itself is the service).
+        op_service = "kernel_op_service_micros",
+        /// Time operations spent parked on wait queues.
+        park_wait = "kernel_park_wait_micros",
+        /// End-to-end latency of committed transactions (begin → commit).
+        txn_latency = "kernel_txn_latency_micros",
+    }
+}
+
+/// The kernel's observability surface: its latency histograms plus
 /// (feature-gated) the transaction event ring. One instance per
 /// kernel, shared via `Arc`.
 pub struct KernelObs {
-    /// Service time of every `read`/`write` call, including parked and
-    /// aborted outcomes (the decision itself is the service).
-    pub op_service: LatencyHistogram,
-    /// Wall-clock time operations spent parked on wait queues.
-    pub park_wait: LatencyHistogram,
-    /// End-to-end latency of committed transactions (begin → commit).
-    pub txn_latency: LatencyHistogram,
+    /// The declared distributions. `KernelObs` derefs to them, so the
+    /// kernel's recording sites read `obs.op_service.record(..)` as they
+    /// always have.
+    hist: KernelHistograms,
     /// The clock every duration is measured on. Wall-derived by default
     /// ([`SystemTimeSource`]); drivers that need determinism (the
     /// simulator, virtual-time servers) attach their own
@@ -128,9 +138,7 @@ impl KernelObs {
     /// A fresh surface whose durations are measured on `clock`.
     pub fn with_clock(clock: Arc<dyn TimeSource>) -> Self {
         KernelObs {
-            op_service: LatencyHistogram::new(),
-            park_wait: LatencyHistogram::new(),
-            txn_latency: LatencyHistogram::new(),
+            hist: KernelHistograms::default(),
             clock,
             started: Mutex::new(HashMap::new()),
             parked: Mutex::new(HashMap::new()),
@@ -144,22 +152,6 @@ impl KernelObs {
     #[inline]
     pub fn now_micros(&self) -> u64 {
         self.clock.raw_micros()
-    }
-
-    /// Snapshot all three histograms as `(name, snapshot)` pairs, for
-    /// stats replies and metrics exposition.
-    pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
-        vec![
-            (
-                "kernel_op_service_micros".into(),
-                self.op_service.snapshot(),
-            ),
-            ("kernel_park_wait_micros".into(), self.park_wait.snapshot()),
-            (
-                "kernel_txn_latency_micros".into(),
-                self.txn_latency.snapshot(),
-            ),
-        ]
     }
 
     /// Append to the event ring (no-op without the `obs-events`
@@ -230,6 +222,14 @@ impl KernelObs {
     }
 }
 
+impl std::ops::Deref for KernelObs {
+    type Target = KernelHistograms;
+
+    fn deref(&self) -> &KernelHistograms {
+        &self.hist
+    }
+}
+
 impl Default for KernelObs {
     fn default() -> Self {
         Self::new()
@@ -239,9 +239,7 @@ impl Default for KernelObs {
 impl std::fmt::Debug for KernelObs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KernelObs")
-            .field("op_service", &self.op_service)
-            .field("park_wait", &self.park_wait)
-            .field("txn_latency", &self.txn_latency)
+            .field("hist", &self.hist)
             .finish_non_exhaustive()
     }
 }
@@ -281,15 +279,6 @@ mod tests {
         obs.note_commit(TxnId(3), 0); // stale commit: no latency sample
         assert_eq!(obs.txn_latency.count(), 0);
         assert_eq!(obs.park_wait.count(), 0);
-    }
-
-    #[test]
-    fn histograms_are_named() {
-        let obs = KernelObs::new();
-        let names: Vec<String> = obs.histograms().into_iter().map(|(n, _)| n).collect();
-        assert!(names.contains(&"kernel_op_service_micros".to_string()));
-        assert!(names.contains(&"kernel_park_wait_micros".to_string()));
-        assert!(names.contains(&"kernel_txn_latency_micros".to_string()));
     }
 
     #[cfg(feature = "obs-events")]

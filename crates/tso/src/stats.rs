@@ -1,96 +1,57 @@
 //! Kernel counters — the raw material for every figure in §8.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-macro_rules! stats {
-    ($(#[$sdoc:meta])* pub struct $snap:ident / $live:ident {
-        $( $(#[$doc:meta])* pub $field:ident ),+ $(,)?
-    }) => {
-        $(#[$sdoc])*
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-        pub struct $snap {
-            $( $(#[$doc])* pub $field: u64, )+
-        }
-
-        /// Live atomic counters updated by the kernel. Cheap relaxed
-        /// increments; read via [`Self::snapshot`].
-        #[derive(Debug, Default)]
-        pub struct $live {
-            $( $(#[$doc])* pub $field: AtomicU64, )+
-        }
-
-        impl $live {
-            /// A zeroed counter set.
-            pub fn new() -> Self { Self::default() }
-
-            /// Copy the current values.
-            pub fn snapshot(&self) -> $snap {
-                $snap {
-                    $( $field: self.$field.load(Ordering::Relaxed), )+
-                }
-            }
-        }
-
-        impl $snap {
-            /// Counter-wise difference (`self - earlier`), saturating.
-            /// Used to isolate a measurement window from warmup.
-            pub fn since(&self, earlier: &$snap) -> $snap {
-                $snap {
-                    $( $field: self.$field.saturating_sub(earlier.$field), )+
-                }
-            }
-        }
-    };
-}
-
-stats! {
+esr_obs::metrics! {
     /// A point-in-time copy of the kernel counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
     pub struct StatsSnapshot / KernelStats {
-        /// Transactions begun.
-        pub begins,
-        /// Query ETs committed.
-        pub commits_query,
-        /// Update ETs committed.
-        pub commits_update,
-        /// Query ETs aborted (each abort is a retry from the client's
-        /// point of view — the Figure 9 metric counts these).
-        pub aborts_query,
-        /// Update ETs aborted.
-        pub aborts_update,
-        /// Read operations executed successfully (including reads of
-        /// transactions that later abort — Figure 10 counts wasted work).
-        pub reads,
-        /// Write operations executed successfully.
-        pub writes,
-        /// Reads admitted despite viewing non-zero inconsistency
-        /// (relaxation cases 1 and 2) — Figure 8.
-        pub inconsistent_reads,
-        /// Writes admitted despite exporting non-zero inconsistency
-        /// (relaxation case 3) — Figure 8.
-        pub inconsistent_writes,
-        /// Operations parked on a wait queue.
-        pub waits,
-        /// Parked operations released by commits/aborts.
-        pub wakes,
-        /// Aborts caused by an object-level bound (OIL/OEL).
-        pub violations_object,
-        /// Aborts caused by a group-level bound (GIL/GEL).
-        pub violations_group,
-        /// Aborts caused by the transaction-level bound (TIL/TEL).
-        pub violations_transaction,
-        /// Aborts from late reads.
-        pub late_read_aborts,
-        /// Aborts from late writes.
-        pub late_write_aborts,
-        /// Proper-value lookups that fell off the bounded history.
-        pub history_misses,
-        /// Writes skipped under the Thomas write rule (ablation only).
-        pub thomas_skips,
-        /// Transactions aborted by the reaper (lease expiry or
-        /// connection orphaning). Also counted in the plain abort
-        /// counters, since reaping goes through the normal abort path.
-        pub reaped_txns,
+        series "esr_kernel_" {
+            /// Transactions begun.
+            counter begins,
+            /// Query ETs committed.
+            counter commits_query,
+            /// Update ETs committed.
+            counter commits_update,
+            /// Query ETs aborted (each abort is a retry from the client's
+            /// point of view — the Figure 9 metric counts these).
+            counter aborts_query,
+            /// Update ETs aborted.
+            counter aborts_update,
+            /// Read operations executed successfully (including reads of
+            /// transactions that later abort — Figure 10 counts wasted work).
+            counter reads,
+            /// Write operations executed successfully.
+            counter writes,
+            /// Reads admitted despite viewing non-zero inconsistency
+            /// (relaxation cases 1 and 2) — Figure 8.
+            counter inconsistent_reads,
+            /// Writes admitted despite exporting non-zero inconsistency
+            /// (relaxation case 3) — Figure 8.
+            counter inconsistent_writes,
+            /// Operations parked on a wait queue.
+            counter waits,
+            /// Parked operations released by commits/aborts.
+            counter wakes,
+            /// Aborts caused by an object-level bound (OIL/OEL).
+            counter violations_object,
+            /// Aborts caused by a group-level bound (GIL/GEL).
+            counter violations_group,
+            /// Aborts caused by the transaction-level bound (TIL/TEL).
+            counter violations_transaction,
+            /// Aborts from late reads.
+            counter late_read_aborts,
+            /// Aborts from late writes.
+            counter late_write_aborts,
+            /// Proper-value lookups that fell off the bounded history.
+            counter history_misses,
+            /// Writes skipped under the Thomas write rule (ablation only).
+            counter thomas_skips,
+            /// Transactions aborted by the reaper (lease expiry or
+            /// connection orphaning). Also counted in the plain abort
+            /// counters, since reaping goes through the normal abort path.
+            counter reaped_txns,
+        }
     }
 }
 
@@ -126,9 +87,41 @@ impl StatsSnapshot {
     }
 }
 
+esr_obs::metrics! {
+    /// Counters of a conformance monitor tailing this kernel's capture
+    /// stream (`esr-checker`'s `EsrMonitor`, run live by `esr-tcpd
+    /// --monitor`): what the monitor reports about itself, declared here
+    /// so the checker that fills it in and the server snapshot that
+    /// carries it share one type.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct MonitorSnapshot {
+        series "esr_monitor_" {
+            /// Error-level conformance diagnostics found so far. Zero on a
+            /// healthy server; any other value means the kernel's ESR claims
+            /// failed validation (or the stream gapped).
+            gauge violations = "esr_conformance_violations",
+            /// Capture events the monitor has processed.
+            counter events,
+            /// Capture stream sequence discontinuities observed.
+            counter gaps,
+            /// Events evicted from the capture log before the monitor read them.
+            counter missed_events,
+            /// Transactions currently live in the monitor's replay engine.
+            gauge live_txns,
+            /// Update transactions currently held in the conflict graph.
+            gauge graph_nodes,
+            /// Objects with retained access-log entries.
+            gauge tracked_objects,
+            /// Total retained access-log entries (the monitor's memory bound).
+            gauge retained_entries,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn snapshot_reflects_increments() {

@@ -33,8 +33,8 @@ cargo test -p esr-sim --features capture -q
 # histograms, gauges, rings, the `metrics!`/`histograms!` declaration
 # macros, the exposition's group walks) and the declared-once
 # parity/golden tests already ran in the workspace pass above:
-# esr-net `metrics::tests::{stats_frame_is_byte_identical_to_the_parent_commit,
-# every_line_the_parent_rendered_is_still_rendered,
+# esr-net `metrics::tests::{a_stats_frame_from_251d76a_decodes_with_new_fields_defaulted,
+# every_series_251d76a_rendered_is_still_rendered,
 # every_declared_field_renders_its_value_exactly_once,
 # readme_lists_every_declared_series}` and `net_tests`
 # `wire_stats_of_a_monitored_shipping_primary_equal_metrics`. What the
@@ -44,14 +44,6 @@ cargo test -p esr-sim --features capture -q
 # outcomes.
 echo "==> cargo test -p esr-tso --features obs-events -q"
 cargo test -p esr-tso --features obs-events -q
-
-# The TCP transport, explicitly: unit tests (framing codec, client
-# bounds) plus the loopback integration suite — 8 concurrent socket
-# clients, wait/wake across connections, graceful-shutdown error
-# delivery, and Connection/TcpConnection driver equivalence. Bounded
-# work throughout; no sleeps in the smoke test.
-echo "==> cargo test -p esr-net -q"
-cargo test -p esr-net -q
 
 # Failure path: the fault-injection chaos suite (real client/server
 # pairs behind the seeded fault proxy; every test carries its own
@@ -73,7 +65,16 @@ timeout 300 cargo test --test chaos_replay -q
 # and self-inflicted torn writes against the real esr-tcpd daemon, each
 # followed by a restart on the same data directory — and the checker
 # replay of a captured post-crash continuation. All seeds/kill points
-# are fixed in the tests; the timeouts are hang guards.
+# are fixed in the tests; the timeouts are hang guards. WAL-before-page
+# (a victim's page LSN must be durable; eviction never waits on the log)
+# is pinned by the pager's
+# `{volatile_mutations_dirty_a_page_without_covering_it,
+# cover_keeps_the_highest_seq}`,
+# `pool::tests::frames_the_log_has_not_made_durable_are_skipped_like_pinned_ones`,
+# `wal::tests::durable_seq_follows_the_flusher`, and — run in the
+# workspace pass, with esr-tso — `durability::tests::{
+# a_page_is_never_written_before_the_record_it_installed_is_durable,
+# kernel_commits_hold_their_pages_until_durable_and_queries_do_not}`.
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> durability: cargo test -p esr-storage --release -q"
     timeout 600 cargo test -p esr-storage --release -q
@@ -81,15 +82,11 @@ fi
 # Streaming checkpoints: the codec's hand-written container headers and
 # the checkpoint suite (format pinned byte for byte against the one-shot
 # encoding, every truncation and bit flip of a valid file, CRC-valid
-# forgeries, .tmp removal on failure) with the rest of the WAL's unit
-# tests (among them the flusher's latched I/O failure),
-# then the memory bound measured on a process of its own — 10 000
-# objects with full rings must checkpoint within 4 MiB of peak RSS and
-# recover within file size + 4 MiB (release: it times nothing, but the
-# allocator's behaviour is the release profile's).
-echo "==> checkpoints: codec stream helpers, format pin, hostile bytes"
-cargo test -p esr-core -q codec::
-cargo test -p esr-storage -q wal::
+# forgeries, .tmp removal on failure) ran in the workspace pass; what it
+# cannot run is the memory bound, measured on a process of its own —
+# 10 000 objects with full rings must checkpoint within 4 MiB of peak
+# RSS and recover within file size + 4 MiB (release: it times nothing,
+# but the allocator's behaviour is the release profile's).
 echo "==> checkpoints: memory bound (own process, /proc/self/status)"
 timeout 300 cargo test --release -p esr-storage --test checkpoint_memory
 echo "==> chaos: process-kill crash recovery (esr-tcpd)"

@@ -279,6 +279,10 @@ impl DurabilitySink for ReplSink {
         self.wal.appended_seq()
     }
 
+    fn durable_seq(&self) -> u64 {
+        self.wal.durable_seq()
+    }
+
     fn write_checkpoint(
         &self,
         seq: u64,
@@ -288,8 +292,12 @@ impl DurabilitySink for ReplSink {
         self.wal.write_checkpoint(seq, next_txn, objects)
     }
 
-    fn prune_segments(&self, upto: u64) -> io::Result<()> {
-        self.wal.prune_segments(upto)
+    fn checkpoint_with(
+        &self,
+        upto: u64,
+        write: &mut dyn FnMut() -> io::Result<u64>,
+    ) -> io::Result<()> {
+        self.wal.checkpoint_with(upto, write)
     }
 
     fn report(&self) -> SinkReport {

@@ -65,9 +65,11 @@ pub struct HistogramDesc {
 /// `_total` for a counter, typed `u64` unless it says otherwise (`gauge
 /// in_flight: i64`), and helped by its doc comment. `METRICS` and
 /// `values()` follow field order. `since()` (with `/ Live`) subtracts
-/// counters, saturating, and keeps the later gauges. Non-series fields
-/// go verbatim in `fields { .. }` blocks before and after `series`,
-/// which fixes their place in the wire encoding.
+/// counters, saturating, and keeps the later gauges. A series' other
+/// attributes (`#[serde(default)]` on one added after its snapshot first
+/// shipped) go on the snapshot field only. Non-series fields go verbatim
+/// in `fields { .. }` blocks before and after `series`, which fixes their
+/// place in the wire encoding.
 #[macro_export]
 macro_rules! metrics {
     (@snapshot [$($sattr:tt)*] $snap:ident {
@@ -113,7 +115,12 @@ macro_rules! metrics {
         )]
         #[derive(Debug, Default)]
         pub struct $live {
-            $( $(#[$($attr)*])* pub $field: ::std::sync::atomic::AtomicU64, )+
+            // Docs only: the snapshot's other attributes (`#[serde(..)]`)
+            // mean nothing on an atomic.
+            $(
+                #[doc = $crate::metrics!(@help [] $(#[$($attr)*])*)]
+                pub $field: ::std::sync::atomic::AtomicU64,
+            )+
         }
 
         impl $live {

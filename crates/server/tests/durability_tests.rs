@@ -184,6 +184,37 @@ fn periodic_checkpoints_bound_replay() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A paged checkpoint flushes dirty pages and a directory snapshot
+/// instead of writing a checkpoint file; it is timed and sized into the
+/// same two series (they used to stay empty on a paged daemon).
+#[test]
+fn paged_checkpoints_are_timed_and_sized() {
+    let dir = tempdir("paged-ckpt");
+    let config = ServerConfig {
+        cache_pages: Some(4),
+        ..ServerConfig::default()
+    };
+    let (server, _) = boot(&dir, 64, config);
+    let mut c = server.connect();
+    for i in 0..8u32 {
+        c.begin(TxnKind::Update, TxnBounds::export(Limit::ZERO))
+            .unwrap();
+        c.write(ObjectId(i * 8), i64::from(i)).unwrap();
+        c.commit().unwrap();
+    }
+    assert!(server.kernel().checkpoint().unwrap().is_some());
+    let stats = server.stats();
+    assert_eq!(stats.histogram("checkpoint_micros").unwrap().count, 1);
+    let sizes = stats.histogram("checkpoint_bytes").unwrap();
+    assert_eq!(sizes.count, 1);
+    assert!(
+        sizes.max > 100,
+        "pages and a directory: {} bytes",
+        sizes.max
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Watchdog regression for shutdown joins: dropping a server with every
 /// background thread alive — lease reaper, checkpointer, WAL
 /// group-commit flusher — must terminate promptly. A hung join (e.g. a

@@ -267,7 +267,7 @@ fn snapshot_path(dir: &Path, seq: u64) -> PathBuf {
 }
 
 /// Write a snapshot atomically and prune older ones.
-pub(crate) fn write_snapshot(dir: &Path, snap: &DirectorySnapshot) -> io::Result<()> {
+pub(crate) fn write_snapshot(dir: &Path, snap: &DirectorySnapshot) -> io::Result<u64> {
     let payload = codec::to_bytes(snap);
     let mut bytes = Vec::with_capacity(12 + payload.len());
     bytes.extend_from_slice(MAGIC);
@@ -292,7 +292,7 @@ pub(crate) fn write_snapshot(dir: &Path, snap: &DirectorySnapshot) -> io::Result
             let _ = fs::remove_file(path);
         }
     }
-    Ok(())
+    Ok(bytes.len() as u64)
 }
 
 /// All directory snapshots in `dir`, sorted oldest-first.

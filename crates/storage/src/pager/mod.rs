@@ -19,13 +19,37 @@
 //!
 //! ## WAL-before-page
 //!
-//! A dirty page may contain committed values whose redo records are
-//! still in the group-commit buffer. Before writing any page image the
-//! pool calls [`DurabilitySink::sync_to`] up to the log's current
-//! append watermark, which covers every mutation the image can hold
-//! (frames also track a `page_lsn` high-water mark from their guards;
-//! the append watermark is always at least that). Recovery therefore
-//! never reads a page whose covering records it cannot replay.
+//! A dirty page may hold committed values whose redo records are still
+//! in the group-commit buffer — or not yet appended at all: a committer
+//! installs its writes *before* it appends their record. The rule
+//! (ARIES's: flush the log through the page's LSN before the page) is
+//! kept with an *exact* page LSN and without ever waiting:
+//!
+//! * **Stamped at install.** The kernel's install loop runs under the
+//!   durability layer's order mutex, which serialises every append, so
+//!   it knows the seq its record will take before installing, and
+//!   stamps it on each object it commits ([`PinnedObject::cover`]); the
+//!   frame keeps the maximum. That covers exactly what recovery
+//!   replays: installed values and their history.
+//! * **Volatile mutations carry no LSN.** Reader lists, read timestamps
+//!   and the uncommitted slot are never logged and are sanitized at
+//!   recovery (below), so they only mark the page dirty.
+//! * **Victims are durable.** The CLOCK sweep passes over a frame whose
+//!   `page_lsn` exceeds the log's durable watermark
+//!   ([`DurabilitySink::durable_seq`]) exactly as it passes over a
+//!   pinned one, and counts it (`undurable_skips`); if nothing is left
+//!   the shard overcommits. Eviction write-back therefore never calls
+//!   [`DurabilitySink::sync_to`]: a foreground miss never waits for
+//!   another transaction's fsync. A checkpoint syncs the whole log
+//!   first, under the commit gate, and then flushes everything.
+//!
+//! Why skip rather than wait for the page's LSN: the page is almost
+//! always durable already (a CLOCK victim was last touched a sweep ago),
+//! waiting would put an fsync under the shard lock, and a committer's
+//! own install loop can miss on a page it stamped a moment earlier — its
+//! record is not appended until the loop ends, so waiting for it would
+//! deadlock. Recovery therefore never reads a page whose covering
+//! records it cannot replay, and never one holding half a transaction.
 //!
 //! ## Volatile state across restarts
 //!
@@ -373,12 +397,12 @@ impl PagedHeap {
     /// heap-file I/O errors or checksum failures — a paged read that
     /// cannot be served is unrecoverable mid-operation, and failing
     /// loudly beats serving stale data.
-    pub fn pin_object(&self, id: ObjectId) -> PinnedObject<'_> {
+    pub fn pin_object(&self, id: ObjectId) -> PinnedObject {
         self.try_pin_object(id)
             .unwrap_or_else(|e| panic!("paged heap read failed for {id}: {e}"))
     }
 
-    fn try_pin_object(&self, id: ObjectId) -> io::Result<PinnedObject<'_>> {
+    fn try_pin_object(&self, id: ObjectId) -> io::Result<PinnedObject> {
         let (logical, slot) = self.directory.locate(id);
         let shard = &self.shards[logical as usize % self.shards.len()];
         let frame = {
@@ -393,10 +417,13 @@ impl PagedHeap {
                 }
                 None => {
                     self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                    // Make room. If every frame is pinned, overcommit
-                    // rather than deadlock (see pool module docs).
+                    // Make room among frames whose log is durable. If
+                    // every frame is pinned or not yet durable,
+                    // overcommit rather than wait (see pool module docs).
+                    let durable = self.wal.get().map_or(u64::MAX, |w| w.durable_seq());
                     while inner.len() >= self.shard_capacity {
-                        let Some(victim) = inner.pick_victim() else {
+                        let Some(victim) = inner.pick_victim(durable, &self.stats.undurable_skips)
+                        else {
                             break;
                         };
                         self.write_back(&victim, false)?;
@@ -421,7 +448,6 @@ impl PagedHeap {
         Ok(PinnedObject {
             guard: Some(guard),
             frame,
-            heap: self,
             mutated: false,
         })
     }
@@ -455,21 +481,24 @@ impl PagedHeap {
     }
 
     /// Write a dirty frame to a fresh extent (copy-on-write) and retire
-    /// the old one. No-op for clean frames. Must be called with the
-    /// frame's shard lock held, which serializes write-backs of one
-    /// logical page. `still_cached` keeps the resident accounting right
-    /// when the extent length changes under a checkpoint flush.
-    fn write_back(&self, frame: &Frame, still_cached: bool) -> io::Result<()> {
+    /// the old one; returns the bytes written (0 for a clean frame).
+    /// Must be called with the frame's shard lock held, which
+    /// serializes write-backs of one logical page, and — WAL-before-page
+    /// — only once the log is durable through the frame's `page_lsn`:
+    /// eviction picks only such frames, a checkpoint syncs the whole log
+    /// first. `still_cached` keeps the resident accounting right when
+    /// the extent length changes under a checkpoint flush.
+    fn write_back(&self, frame: &Frame, still_cached: bool) -> io::Result<u64> {
         if !frame.dirty.swap(false, Ordering::AcqRel) {
-            return Ok(());
+            return Ok(0);
         }
-        // WAL-before-page: everything appended so far covers every
-        // mutation this image can contain (>= the frame's page_lsn).
-        if let Some(wal) = self.wal.get() {
-            let appended = wal.appended_seq();
-            debug_assert!(frame.page_lsn.load(Ordering::Acquire) <= appended);
-            wal.sync_to(appended);
-        }
+        debug_assert!(
+            self.wal
+                .get()
+                .is_none_or(|w| frame.page_lsn.load(Ordering::Acquire) <= w.durable_seq()),
+            "WAL-before-page: logical page {} holds an install the log has not made durable",
+            frame.logical
+        );
         let mut states = Vec::with_capacity(frame.slots.len());
         let mut max_ticks = 0u64;
         for slot in &frame.slots {
@@ -520,7 +549,7 @@ impl PagedHeap {
                 .store(u32::from(pages), Ordering::Release);
         }
         self.stats.dirty_flushes.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        Ok(image.len() as u64)
     }
 
     fn note_resident(&self, frame: &Frame) {
@@ -545,15 +574,17 @@ impl PagedHeap {
 
     /// Incremental checkpoint: flush every dirty frame, sync the heap
     /// file, persist a directory snapshot covering `seq`, and recycle
-    /// limbo. The caller (the kernel's durability layer) holds the
-    /// commit gate, so no commit is mid-install; concurrent *read-path*
-    /// mutations (reader lists) are volatile and sanitized at recovery
-    /// anyway.
-    pub fn checkpoint(&self, seq: u64, next_txn: u64) -> io::Result<()> {
+    /// limbo; returns the bytes written. The caller (the kernel's
+    /// durability layer) holds the commit gate, so no commit is
+    /// mid-install, and has synced the log through `seq`; concurrent
+    /// *read-path* mutations (reader lists) are volatile and sanitized
+    /// at recovery anyway.
+    pub fn checkpoint(&self, seq: u64, next_txn: u64) -> io::Result<u64> {
+        let mut bytes = 0;
         for shard in &self.shards {
             let inner = shard.inner.lock();
             for frame in inner.frames() {
-                self.write_back(frame, true)?;
+                bytes += self.write_back(frame, true)?;
             }
         }
         // Gather the map and the allocator state *before* the file
@@ -598,9 +629,9 @@ impl PagedHeap {
             next_page,
         };
         match directory::write_snapshot(&self.dir, &snap) {
-            Ok(()) => {
+            Ok(snap_bytes) => {
                 self.alloc.lock().release(taken_limbo);
-                Ok(())
+                Ok(bytes + snap_bytes)
             }
             Err(e) => {
                 // The old snapshot may still be the recovery base;
@@ -633,17 +664,29 @@ fn state_ticks(s: &ObjectState) -> u64 {
 /// pinned frame. The pin guarantees the frame survives eviction
 /// pressure for the guard's lifetime; dropping the guard marks the
 /// frame dirty (if mutated), releases the slot, and unpins.
-pub struct PinnedObject<'a> {
+pub struct PinnedObject {
     /// `'static` is a private fiction: the mutex lives in `frame`,
     /// which the `Arc` keeps alive past the guard, and Drop releases
     /// the guard first.
     guard: Option<MutexGuard<'static, ObjectState>>,
     frame: Arc<Frame>,
-    heap: &'a PagedHeap,
     mutated: bool,
 }
 
-impl std::ops::Deref for PinnedObject<'_> {
+impl PinnedObject {
+    /// Record that this object now holds the install of WAL record
+    /// `seq`: the page may not be written back until the log is durable
+    /// through it. Only committed installs are covered; every other
+    /// mutation (reader lists, read timestamps, the uncommitted slot) is
+    /// sanitized at recovery and just marks the page dirty.
+    pub(crate) fn cover(&self, seq: u64) {
+        // Visible to the evictor before the pin count can reach zero:
+        // Drop's unpin releases it.
+        self.frame.page_lsn.fetch_max(seq, Ordering::Release);
+    }
+}
+
+impl std::ops::Deref for PinnedObject {
     type Target = ObjectState;
 
     #[inline]
@@ -652,7 +695,7 @@ impl std::ops::Deref for PinnedObject<'_> {
     }
 }
 
-impl std::ops::DerefMut for PinnedObject<'_> {
+impl std::ops::DerefMut for PinnedObject {
     #[inline]
     fn deref_mut(&mut self) -> &mut ObjectState {
         self.mutated = true;
@@ -660,17 +703,12 @@ impl std::ops::DerefMut for PinnedObject<'_> {
     }
 }
 
-impl Drop for PinnedObject<'_> {
+impl Drop for PinnedObject {
     fn drop(&mut self) {
         if self.mutated {
-            // Order matters: dirty (and the LSN watermark) must be
-            // visible before the pin count can reach zero, because a
-            // zero pin makes the frame evictable.
-            if let Some(wal) = self.heap.wal.get() {
-                self.frame
-                    .page_lsn
-                    .fetch_max(wal.appended_seq(), Ordering::AcqRel);
-            }
+            // Order matters: dirty must be visible before the pin count
+            // can reach zero, because a zero pin makes the frame
+            // evictable.
             self.frame.dirty.store(true, Ordering::Release);
         }
         self.guard.take(); // release the slot before unpinning
@@ -679,7 +717,7 @@ impl Drop for PinnedObject<'_> {
     }
 }
 
-impl std::fmt::Debug for PinnedObject<'_> {
+impl std::fmt::Debug for PinnedObject {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PinnedObject")
             .field("logical", &self.frame.logical)
@@ -715,6 +753,54 @@ mod tests {
 
     fn ts(t: u64) -> Timestamp {
         Timestamp::new(t, SiteId(1))
+    }
+
+    fn frame_of(heap: &PagedHeap, id: ObjectId) -> Arc<Frame> {
+        let (logical, _) = heap.directory.locate(id);
+        let shard = &heap.shards[logical as usize % heap.shards.len()];
+        let frame = shard.inner.lock().get(logical).cloned();
+        frame.expect("cached")
+    }
+
+    #[test]
+    fn volatile_mutations_dirty_a_page_without_covering_it() {
+        let dir = tempdir("pager-volatile");
+        let heap = PagedHeap::create(&dir, states(16), 0, 1, &small_cfg()).unwrap();
+        // A log with one record appended: the parent raised every
+        // mutated page's LSN to the log head.
+        let log = Arc::new(crate::wal::Wal::open(dir.join("wal"), 1, Default::default()).unwrap());
+        log.append_commit(TxnId(1), ts(1), 0, &[]);
+        heap.attach_wal(log);
+        {
+            let mut g = heap.pin_object(ObjectId(2));
+            let present = g.value;
+            g.note_query_read(TxnId(8), ts(9), present);
+            g.apply_write(TxnId(9), ts(9), -1);
+        }
+        let f = frame_of(&heap, ObjectId(2));
+        assert!(f.dirty.load(Ordering::Acquire));
+        assert_eq!(
+            f.page_lsn.load(Ordering::Acquire),
+            0,
+            "reader lists, read timestamps and the uncommitted slot carry no LSN"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cover_keeps_the_highest_seq() {
+        let dir = tempdir("pager-cover");
+        let heap = PagedHeap::create(&dir, states(16), 0, 1, &small_cfg()).unwrap();
+        for seq in [5, 3, 9, 7] {
+            heap.pin_object(ObjectId(0)).cover(seq);
+        }
+        assert_eq!(
+            frame_of(&heap, ObjectId(0))
+                .page_lsn
+                .load(Ordering::Acquire),
+            9
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -16,11 +16,15 @@
 //!
 //! CLOCK second chance: every hit sets the frame's referenced bit; the
 //! hand sweeps the shard's frame slots, clearing referenced bits and
-//! evicting the first unpinned, unreferenced frame. If a full double
-//! sweep finds every frame pinned the shard *overcommits* (the insert
-//! proceeds past capacity) instead of deadlocking; the kernel holds at
-//! most one object lock per thread, so pins per shard are bounded by
-//! the worker count and the overshoot is transient.
+//! evicting the first unpinned, unreferenced frame whose `page_lsn` the
+//! log has made durable. A frame holding an install whose redo record
+//! is not yet durable is passed over exactly like a pinned one (and
+//! counted): eviction never waits for the log. If a full double sweep
+//! finds no candidate the shard *overcommits* (the insert proceeds past
+//! capacity) instead of waiting or deadlocking; the kernel holds at most
+//! one object lock per thread, so pins per shard are bounded by the
+//! worker count, not-yet-durable frames by the installs of one group
+//! commit, and the overshoot is transient.
 
 use crate::object::ObjectState;
 use parking_lot::Mutex;
@@ -42,8 +46,10 @@ pub(crate) struct Frame {
     pub(crate) referenced: AtomicBool,
     /// Set when a slot was mutated since the last flush.
     pub(crate) dirty: AtomicBool,
-    /// Highest WAL sequence that may cover a mutation in this frame;
-    /// the WAL-before-page invariant syncs to it before write-back.
+    /// WAL sequence of the newest committed install in this frame (0:
+    /// none since it was loaded). Stamped by the installer while pinned;
+    /// the frame may be written back only once the log is durable
+    /// through it (WAL-before-page).
     pub(crate) page_lsn: AtomicU64,
     /// Pages of the extent this frame was loaded from (resident-bytes
     /// accounting; the flushed size may differ).
@@ -115,11 +121,17 @@ impl ShardInner {
         self.len += 1;
     }
 
-    /// CLOCK sweep: pick (and remove) an eviction victim, or `None` if
-    /// every frame is pinned. The caller flushes the victim if dirty;
-    /// once returned, the frame is unreachable for new pins and its pin
-    /// count is zero, so the caller owns it outright.
-    pub(crate) fn pick_victim(&mut self) -> Option<Arc<Frame>> {
+    /// CLOCK sweep: pick (and remove) an eviction victim whose
+    /// `page_lsn` is at most `durable`, or `None` if every frame is
+    /// pinned or not yet durable. Each would-be victim passed over for
+    /// its LSN bumps `undurable`. The caller flushes the victim if
+    /// dirty; once returned, the frame is unreachable for new pins and
+    /// its pin count is zero, so the caller owns it outright.
+    pub(crate) fn pick_victim(
+        &mut self,
+        durable: u64,
+        undurable: &AtomicU64,
+    ) -> Option<Arc<Frame>> {
         if self.frames.is_empty() {
             return None;
         }
@@ -131,11 +143,18 @@ impl ShardInner {
             let Some(frame) = &self.frames[slot] else {
                 continue;
             };
+            // A zero pin read here (under the shard lock, so it cannot
+            // rise) also makes the installer's `page_lsn` stamp visible:
+            // it was stored before the unpin released the frame.
             if frame.is_pinned() {
                 continue;
             }
             if frame.referenced.swap(false, Ordering::AcqRel) {
                 continue; // second chance
+            }
+            if frame.page_lsn.load(Ordering::Acquire) > durable {
+                undurable.fetch_add(1, Ordering::Relaxed);
+                continue;
             }
             let frame = self.frames[slot].take().expect("frame present");
             self.map.remove(&frame.logical);
@@ -166,6 +185,10 @@ esr_obs::metrics! {
             counter evictions,
             /// Dirty page write-backs (evictions and incremental checkpoints).
             counter dirty_flushes,
+            /// Eviction candidates the CLOCK hand passed over because the
+            /// log was not yet durable through their newest install.
+            #[serde(default)]
+            counter undurable_skips,
             /// Heap pages currently decoded in the buffer pool.
             gauge resident_pages,
             /// Bytes of heap-file extent currently cached.
@@ -181,6 +204,11 @@ mod tests {
     use super::*;
     use esr_core::bounds::Limit;
     use esr_core::ids::ObjectId;
+
+    /// A sweep that ignores LSNs (every frame durable).
+    fn victim(s: &mut ShardInner) -> Option<Arc<Frame>> {
+        s.pick_victim(u64::MAX, &AtomicU64::new(0))
+    }
 
     fn frame(logical: u32) -> Arc<Frame> {
         Arc::new(Frame::new(
@@ -207,7 +235,7 @@ mod tests {
         s.get(0).unwrap().pin.fetch_add(1, Ordering::AcqRel);
         // First victim: the sweep clears 1's and 2's referenced bits,
         // wraps, and takes the first unpinned unreferenced frame.
-        let v = s.pick_victim().expect("victim");
+        let v = victim(&mut s).expect("victim");
         assert_ne!(v.logical, 0, "pinned frame must survive");
         assert_eq!(s.len(), 2);
         // Re-reference the survivor; it gets a second chance over the
@@ -219,7 +247,7 @@ mod tests {
             .store(true, Ordering::Release);
         s.insert(frame(9));
         s.get(9).unwrap().referenced.store(false, Ordering::Release);
-        let v2 = s.pick_victim().expect("victim");
+        let v2 = victim(&mut s).expect("victim");
         assert_eq!(v2.logical, 9);
         // Only the pinned frame and the survivor remain.
         assert!(s.get(0).is_some());
@@ -234,9 +262,32 @@ mod tests {
             f.pin.fetch_add(1, Ordering::AcqRel);
             s.insert(f);
         }
-        assert!(s.pick_victim().is_none());
+        assert!(victim(&mut s).is_none());
         s.get(1).unwrap().pin.fetch_sub(1, Ordering::AcqRel);
-        assert_eq!(s.pick_victim().expect("now evictable").logical, 1);
+        assert_eq!(victim(&mut s).expect("now evictable").logical, 1);
+    }
+
+    #[test]
+    fn frames_the_log_has_not_made_durable_are_skipped_like_pinned_ones() {
+        let mut s = ShardInner::default();
+        for l in 0..3 {
+            let f = frame(l);
+            f.referenced.store(false, Ordering::Release);
+            f.page_lsn.store(10 + u64::from(l), Ordering::Release);
+            s.insert(f);
+        }
+        let skips = AtomicU64::new(0);
+        // Durable through 10: frame 0 (LSN 10) may go.
+        assert_eq!(s.pick_victim(10, &skips).expect("durable").logical, 0);
+        assert_eq!(skips.load(Ordering::Relaxed), 0);
+        // Frames 1 and 2 hold installs of records 11 and 12: no victim,
+        // so the shard overcommits instead of waiting for the log.
+        assert!(s.pick_victim(10, &skips).is_none());
+        assert_eq!(s.len(), 2);
+        assert_eq!(skips.load(Ordering::Relaxed), 4, "two sweeps, two frames");
+        // The log catches up through 11: frame 1 goes, frame 2 stays.
+        assert_eq!(s.pick_victim(11, &skips).expect("durable").logical, 1);
+        assert!(s.get(2).is_some());
     }
 
     #[test]
@@ -247,7 +298,7 @@ mod tests {
             s.get(l).unwrap().referenced.store(false, Ordering::Release);
         }
         for _ in 0..4 {
-            s.pick_victim().expect("victim");
+            victim(&mut s).expect("victim");
         }
         assert_eq!(s.len(), 0);
         for l in 10..14 {

@@ -51,7 +51,20 @@ pub struct ObjectGuard<'a> {
 
 enum GuardInner<'a> {
     Resident(MutexGuard<'a, ObjectState>),
-    Paged(PinnedObject<'a>),
+    Paged(PinnedObject),
+}
+
+impl ObjectGuard<'_> {
+    /// Stamp this object's install of WAL record `seq` on its page, which
+    /// then stays cached until the log is durable through `seq`
+    /// (WAL-before-page). Call once per committed install. No-op on a
+    /// resident table.
+    #[inline]
+    pub fn cover(&self, seq: u64) {
+        if let GuardInner::Paged(p) = &self.inner {
+            p.cover(seq);
+        }
+    }
 }
 
 impl std::ops::Deref for ObjectGuard<'_> {

@@ -102,6 +102,13 @@ pub trait DurabilitySink: Send + Sync {
     fn sync_to(&self, seq: u64);
     /// Highest sequence number handed out so far.
     fn appended_seq(&self) -> u64;
+    /// Highest sequence number known durable, without waiting: the
+    /// pager writes back only pages whose newest install this covers.
+    /// Default: [`appended_seq`](DurabilitySink::appended_seq), for
+    /// in-memory sinks whose records are "durable" once appended.
+    fn durable_seq(&self) -> u64 {
+        self.appended_seq()
+    }
     /// Persist a checkpoint covering every record up to `seq` and
     /// rotate/prune segments. `objects` yields every object in id order
     /// and is drained one snapshot at a time — feed it from the live
@@ -113,16 +120,20 @@ pub trait DurabilitySink: Send + Sync {
         next_txn: u64,
         objects: &mut dyn ExactSizeIterator<Item = ObjectSnapshot>,
     ) -> io::Result<()>;
-    /// Rotate to a fresh segment and delete segments fully covered by
-    /// a durable snapshot of everything up to `upto`. The paged
-    /// checkpoint path calls this *instead of* [`write_checkpoint`]:
-    /// its directory snapshot replaces the object-snapshot checkpoint,
-    /// but the log still needs its retention bounded. Default: no-op,
-    /// for in-memory sinks without segmented storage.
+    /// The paged checkpoint path, *instead of* [`write_checkpoint`]:
+    /// run `write` — which persists a durable snapshot of everything up
+    /// to `upto` and returns the bytes it wrote — timed into the same
+    /// checkpoint series, then rotate to a fresh segment and delete the
+    /// segments the snapshot covers. Default: just `write`, for
+    /// in-memory sinks without segmented storage.
     ///
     /// [`write_checkpoint`]: DurabilitySink::write_checkpoint
-    fn prune_segments(&self, _upto: u64) -> io::Result<()> {
-        Ok(())
+    fn checkpoint_with(
+        &self,
+        _upto: u64,
+        write: &mut dyn FnMut() -> io::Result<u64>,
+    ) -> io::Result<()> {
+        write().map(drop)
     }
     /// Everything the sink reports about itself, in one call (see
     /// [`SinkReport`]). Default: nothing, for in-memory sinks.
@@ -161,7 +172,8 @@ esr_obs::histograms! {
         /// are quiesced for all of it (the kernel's commit gate on a
         /// primary, the engine lock on a replica).
         checkpoint_micros = "checkpoint_micros",
-        /// Size of each checkpoint file written, in bytes.
+        /// Bytes each checkpoint wrote: the checkpoint file, or a paged
+        /// heap's dirty pages plus its directory snapshot.
         checkpoint_bytes = "checkpoint_bytes",
     }
 }
@@ -277,6 +289,22 @@ impl Wal {
     /// durable state (drives the `esr_recoveries` gauge).
     pub fn note_recovery(&self) {
         self.shared.recoveries.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Rotate to a fresh segment for post-checkpoint appends, then
+    /// delete the segments whose records a durable snapshot of
+    /// everything up to `upto` covers.
+    pub(crate) fn prune_segments(&self, upto: u64) -> io::Result<()> {
+        let mut seg = lock(&self.shared.segment);
+        let fresh = open_segment(&self.shared.dir, upto + 1)?;
+        let _old = std::mem::replace(&mut *seg, fresh);
+        drop(seg);
+        for (path, start) in list_segments(&self.shared.dir)? {
+            if start <= upto {
+                let _ = fs::remove_file(path);
+            }
+        }
+        Ok(())
     }
 
     /// Flush everything pending, stop the flusher, and join it.
@@ -407,39 +435,38 @@ impl DurabilitySink for Wal {
         self.shared.appended.load(Ordering::Acquire)
     }
 
+    fn durable_seq(&self) -> u64 {
+        *lock(&self.shared.flushed)
+    }
+
     fn write_checkpoint(
         &self,
         seq: u64,
         next_txn: u64,
         objects: &mut dyn ExactSizeIterator<Item = ObjectSnapshot>,
     ) -> io::Result<()> {
-        let t0 = Instant::now();
         // The caller (the kernel's checkpoint entry point) holds the
         // commit gate, so no appends are in flight; drain what's left.
-        self.sync_to(self.appended_seq());
-        let bytes = checkpoint::write_checkpoint(&self.shared.dir, seq, next_txn, objects)?;
+        self.checkpoint_with(seq, &mut || {
+            self.sync_to(self.appended_seq());
+            checkpoint::write_checkpoint(&self.shared.dir, seq, next_txn, &mut *objects)
+        })
+    }
+
+    fn checkpoint_with(
+        &self,
+        upto: u64,
+        write: &mut dyn FnMut() -> io::Result<u64>,
+    ) -> io::Result<()> {
+        let t0 = Instant::now();
+        let bytes = write()?;
         // Everything logged so far is covered by the checkpoint.
-        self.prune_segments(seq)?;
+        self.prune_segments(upto)?;
         self.shared.hist.checkpoint_bytes.record(bytes);
         self.shared
             .hist
             .checkpoint_micros
             .record_duration(t0.elapsed());
-        Ok(())
-    }
-
-    fn prune_segments(&self, upto: u64) -> io::Result<()> {
-        // Rotate: start a fresh segment for post-checkpoint appends,
-        // then delete segments whose records a durable snapshot covers.
-        let mut seg = lock(&self.shared.segment);
-        let fresh = open_segment(&self.shared.dir, upto + 1)?;
-        let _old = std::mem::replace(&mut *seg, fresh);
-        drop(seg);
-        for (path, start) in list_segments(&self.shared.dir)? {
-            if start <= upto {
-                let _ = fs::remove_file(path);
-            }
-        }
         Ok(())
     }
 
@@ -818,6 +845,23 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn durable_seq_follows_the_flusher() {
+        let dir = tempdir("wal-durable");
+        let wal = Wal::open(&dir, 5, WalOptions::default()).unwrap();
+        assert_eq!(wal.durable_seq(), 4, "a reopened log starts durable");
+        let mut last = 0;
+        for seq in 5..=9u64 {
+            let r = rec(seq);
+            last = wal.append_commit(r.txn, r.ts, r.exported, &r.writes);
+            assert!(wal.durable_seq() <= last, "never ahead of the appends");
+        }
+        wal.sync_to(last);
+        assert_eq!(wal.durable_seq(), 9);
+        wal.shutdown();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn drop_flushes_pending_records() {
         let dir = tempdir("wal-drop");
         {
@@ -896,7 +940,7 @@ pub(crate) mod tests {
         // parked and the watermark has not moved.
         std::thread::sleep(std::time::Duration::from_millis(120));
         assert!(!returned.load(Ordering::SeqCst), "acked a lost record");
-        assert_eq!(*lock(&wal.shared.flushed), 0);
+        assert_eq!((wal.appended_seq(), wal.durable_seq()), (1, 0));
         wal.shutdown(); // releases the waiter
         waiter.join().unwrap();
         assert!(wal.report().failed);

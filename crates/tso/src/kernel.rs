@@ -551,10 +551,13 @@ impl Kernel {
         let mut durable_seq = None;
         match t.kind {
             TxnKind::Update => {
-                let install = |info: &mut CommitInfo, woken: &mut Vec<PendingOp>| {
+                // `seq`: the redo record these installs will be logged
+                // under (0 without a sink), stamped for WAL-before-page.
+                let install = |seq: u64, info: &mut CommitInfo, woken: &mut Vec<PendingOp>| {
                     for &obj in dedup(&t.written_objs).iter() {
                         let mut o = self.table.lock(obj);
                         if o.commit_write(t.id) {
+                            o.cover(seq);
                             info.written.push((obj, o.value));
                             self.wake_waiters(&mut o, woken);
                         }
@@ -565,14 +568,14 @@ impl Kernel {
                     // redo-record append run as one ordered unit so
                     // recovery replays values in install order.
                     Some(d) => {
-                        let (seq, written) = d.install_ordered(t.id, t.ts, || {
-                            install(&mut info, &mut woken);
+                        let (seq, written) = d.install_ordered(t.id, t.ts, |seq| {
+                            install(seq, &mut info, &mut woken);
                             (info.inconsistency, std::mem::take(&mut info.written))
                         });
                         info.written = written;
                         durable_seq = seq;
                     }
-                    None => install(&mut info, &mut woken),
+                    None => install(0, &mut info, &mut woken),
                 }
                 self.stats.commits_update.fetch_add(1, Ordering::Relaxed);
             }

@@ -75,6 +75,10 @@ timeout 300 cargo test --test chaos_replay -q
 # workspace pass, with esr-tso — `durability::tests::{
 # a_page_is_never_written_before_the_record_it_installed_is_durable,
 # kernel_commits_hold_their_pages_until_durable_and_queries_do_not}`.
+# A failed log refuses instead of wedging (workspace pass):
+# `wal::tests::flusher_io_error_is_latched_and_releases_every_waiter_not_durable`,
+# esr-tso `durability::tests::a_log_that_cannot_sync_fails_the_checkpoint_and_the_snapshot`
+# and esr-server `durability_tests::a_failed_log_refuses_commits_instead_of_wedging_the_daemon`.
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> durability: cargo test -p esr-storage --release -q"
     timeout 600 cargo test -p esr-storage --release -q
@@ -152,9 +156,23 @@ fi
 # in-process model, and the replication chaos suite — the shipping link
 # through the seeded fault proxy, snapshot catch-up past a pruned log,
 # and real-process SIGKILL failover with epoch fencing. The timeouts
-# are hang guards; all seeds are fixed in-test.
+# are hang guards; all seeds are fixed in-test. What the hub holds is
+# pinned by `repl::hub::tests::{
+# the_ship_cache_stays_within_its_byte_budget_and_evicts_oldest_first,
+# the_ship_cache_stays_dense_and_names_the_cold_range_below_it}` and
+# `wal::ship::tests::one_pass_reads_each_segment_of_the_range_once` (in
+# the workspace pass), and by the suite's
+# `replica_reads_are_captured_only_once_a_log_is_attached` and
+# `a_subscriber_behind_the_cache_catches_up_in_one_pass_then_rides_the_cache`;
+# the last runs again in release, where the cold pass races a sender
+# that is no longer slowed by the debug build.
 echo "==> replication: wire log-shipping suite"
 timeout 600 cargo test -p esr-net --test replication -q
+if [[ "${1:-}" != "quick" ]]; then
+    echo "==> replication: cold catch-up past the ship cache (release)"
+    timeout 600 cargo test -p esr-net --release --test replication -q \
+        a_subscriber_behind_the_cache_catches_up_in_one_pass_then_rides_the_cache
+fi
 echo "==> replication: in-process twin tests"
 timeout 300 cargo test -p esr-sim --test replication_twin -q
 echo "==> chaos: replication under link faults, prune, SIGKILL failover"

@@ -249,6 +249,7 @@ mod tests {
                     sent_seq: 100,
                     lag_records: 20,
                 }],
+                ..ReplicationStats::default()
             }),
             histograms: vec![NamedHistogram {
                 name: "kernel_txn_latency_micros".into(),
@@ -385,6 +386,9 @@ mod tests {
                 lag_records: 505,
                 lag_micros: 506,
                 divergence_total: 507,
+                ship_cache_bytes: 511,
+                ship_cache_records: 512,
+                cold_reads: 513,
                 divergence_groups: vec![("g0".into(), 508)],
                 peers: vec![ReplicaPeerRow {
                     peer: "p".into(),
@@ -405,7 +409,7 @@ mod tests {
             .chain([1]) // wal_failed
             .chain(301..=308)
             .chain(401..=408)
-            .chain(501..=510);
+            .chain(501..=513);
         for v in values {
             assert_eq!(rendered(v), 1, "value {v} in:\n{text}");
         }

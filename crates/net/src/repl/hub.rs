@@ -4,17 +4,28 @@
 //! The hub never has its own durability path — it *interposes* on the
 //! primary's. [`ReplicationHub::make_sink`] wraps the opened
 //! [`Wal`] in a [`ReplSink`] that the kernel uses as its
-//! [`DurabilitySink`]; every `append_commit` is mirrored into a
-//! bounded in-memory ship cache and every `sync_to` advances the
-//! durable watermark subscribers are allowed to see. Sender threads
-//! therefore ship exactly the acknowledged prefix of the log: a record
-//! a subscriber receives was fsynced on the primary first.
+//! [`DurabilitySink`]; every `append_commit` is mirrored into an
+//! in-memory ship cache and every `sync_to` publishes the log's durable
+//! watermark to the senders. Sender threads therefore ship exactly the
+//! acknowledged prefix of the log: a record a subscriber receives was
+//! fsynced on the primary first.
 //!
-//! When a subscriber asks for a suffix the cache no longer holds
-//! (restart long after the fact, cache eviction under load), the
-//! sender falls back to reading the segment files
-//! ([`read_records_from`]); when even the files no longer reach back
-//! far enough (a checkpoint pruned them), it takes a quiesced
+//! ## What the hub holds
+//!
+//! The ship cache exists for a subscriber that keeps up, and a live one
+//! lags by a handful of records. So it is bounded in bytes, not records:
+//! [`SHIP_CACHE_BYTES`] of the newest records, each charged its
+//! estimated wire size ([`record_wire_cost`]), the oldest evicted first.
+//! That is thousands of times a live subscriber's lag whatever the width
+//! of the write sets, and a fixed few MiB of the primary's memory.
+//!
+//! A subscriber behind the cache (a replica restarting, or stalled long
+//! enough) takes a *cold episode*: its sender streams the range below the
+//! cache's oldest record off the segment files in one forward pass
+//! ([`stream_records_from`]) — each segment read once, records shipped in
+//! [`MAX_RECORD_BATCH_BYTES`] batches as they decode, one batch held at a
+//! time — and then rejoins the cache. When even the files no longer
+//! reach back far enough (a checkpoint pruned them), it takes a quiesced
 //! full-table snapshot through the kernel's checkpoint gate and ships
 //! that, then resumes the stream above it.
 
@@ -30,10 +41,10 @@ use esr_core::value::Value;
 use esr_core::ObjectId;
 use esr_server::{ReplicaPeerRow, ReplicationStats, Server};
 use esr_storage::wal::{
-    read_records_from, DurabilitySink, ObjectSnapshot, SinkReport, Wal, WalRecord,
+    stream_records_from, DurabilitySink, ObjectSnapshot, SinkReport, Wal, WalRecord,
 };
 use esr_tso::Kernel;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -42,9 +53,10 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread;
 use std::time::Duration;
 
-/// Records retained in the in-memory ship cache. Subscribers further
-/// behind than this read the segment files instead.
-const SHIP_CACHE_CAP: usize = 65_536;
+/// Byte budget of the in-memory ship cache, in [`record_wire_cost`]
+/// units: about 13 000 two-write records. Subscribers further behind
+/// read the segment files instead.
+pub const SHIP_CACHE_BYTES: usize = 4 << 20;
 
 /// How long a caught-up sender waits for new durable records before
 /// emitting a heartbeat.
@@ -60,12 +72,75 @@ struct PeerGauge {
     sent_seq: AtomicU64,
 }
 
-/// Watermark + ship cache, under one lock with one condvar.
+/// The newest records appended through the sink, dense and in sequence
+/// order, within a byte budget.
+struct ShipCache {
+    records: VecDeque<WalRecord>,
+    /// Sum of [`record_wire_cost`] over `records`; never above `budget`.
+    bytes: usize,
+    budget: usize,
+}
+
+impl ShipCache {
+    fn new(budget: usize) -> ShipCache {
+        ShipCache {
+            records: VecDeque::new(),
+            bytes: 0,
+            budget,
+        }
+    }
+
+    /// Mirror one appended record, evicting the oldest until the cache
+    /// is back within budget (a record over budget on its own is not
+    /// kept). A record that does not extend the run restarts it: the
+    /// kernel appends in sequence order, and the cache must stay dense
+    /// for [`ShipCache::get`]; a miss costs only a cold read.
+    fn push(&mut self, rec: WalRecord) {
+        if self
+            .records
+            .back()
+            .is_some_and(|last| last.seq + 1 != rec.seq)
+        {
+            self.records.clear();
+            self.bytes = 0;
+        }
+        self.bytes += record_wire_cost(&rec);
+        self.records.push_back(rec);
+        while self.bytes > self.budget {
+            let oldest = self
+                .records
+                .pop_front()
+                .expect("bytes are charged to records");
+            self.bytes -= record_wire_cost(&oldest);
+        }
+    }
+
+    fn get(&self, seq: u64) -> Option<&WalRecord> {
+        let offset = seq.checked_sub(self.records.front()?.seq)?;
+        self.records.get(usize::try_from(offset).ok()?)
+    }
+
+    /// The last record a subscriber at `next` must read cold, when
+    /// `next` is below the cache: everything up to the cache's oldest
+    /// record, or up to `durable` when the cache holds nothing above
+    /// `next` at all.
+    fn cold_upto(&self, next: u64, durable: u64) -> u64 {
+        match self.records.front() {
+            Some(oldest) if oldest.seq > next => (oldest.seq - 1).min(durable),
+            _ => durable,
+        }
+    }
+}
+
+/// Watermarks + ship cache, under one lock with one condvar.
 struct HubState {
-    /// Highest fsynced sequence; senders never ship beyond it.
+    /// Highest fsynced sequence published to senders; they never ship
+    /// beyond it.
     durable: u64,
-    /// Recently appended records, keyed by sequence.
-    cache: BTreeMap<u64, WalRecord>,
+    /// Highest sequence appended through the sink (and so offered to
+    /// the cache). `durable` never passes it.
+    mirrored: u64,
+    cache: ShipCache,
     /// Set by `shutdown_sink` / `ReplicationHub::shutdown`.
     stopping: bool,
 }
@@ -77,6 +152,8 @@ struct HubShared {
     work: Condvar,
     kernel: OnceLock<Arc<Kernel>>,
     peers: Mutex<Vec<Arc<PeerGauge>>>,
+    /// Segment files read by finished cold episodes.
+    cold_reads: AtomicU64,
     stop: AtomicBool,
 }
 
@@ -86,7 +163,10 @@ impl HubShared {
     }
 
     fn replication_stats(&self) -> ReplicationStats {
-        let durable = self.lock_state().durable;
+        let (durable, cache_bytes, cache_records) = {
+            let st = self.lock_state();
+            (st.durable, st.cache.bytes, st.cache.records.len())
+        };
         let peers = self
             .peers
             .lock()
@@ -107,6 +187,9 @@ impl HubShared {
             durable_seq: durable,
             received_seq: durable,
             applied_seq: durable,
+            ship_cache_bytes: cache_bytes as u64,
+            ship_cache_records: cache_records as u64,
+            cold_reads: self.cold_reads.load(Ordering::Relaxed),
             peers,
             ..ReplicationStats::default()
         }
@@ -141,12 +224,14 @@ impl ReplicationHub {
                 epoch,
                 state: Mutex::new(HubState {
                     durable: 0,
-                    cache: BTreeMap::new(),
+                    mirrored: 0,
+                    cache: ShipCache::new(SHIP_CACHE_BYTES),
                     stopping: false,
                 }),
                 work: Condvar::new(),
                 kernel: OnceLock::new(),
                 peers: Mutex::new(Vec::new()),
+                cold_reads: AtomicU64::new(0),
                 stop: AtomicBool::new(false),
             }),
             listen: Mutex::new(None),
@@ -167,6 +252,7 @@ impl ReplicationHub {
         {
             let mut st = self.shared.lock_state();
             st.durable = st.durable.max(wal.appended_seq());
+            st.mirrored = st.mirrored.max(st.durable);
         }
         Arc::new(ReplSink {
             wal,
@@ -198,11 +284,6 @@ impl ReplicationHub {
             .expect("spawn hub accept thread");
         *self.listen.lock().unwrap_or_else(PoisonError::into_inner) = Some(handle);
         Ok(addr)
-    }
-
-    /// Replication stats for the primary role.
-    pub fn replication_stats(&self) -> ReplicationStats {
-        self.shared.replication_stats()
     }
 
     /// Stop the accept loop and wake every sender so it can exit.
@@ -258,21 +339,26 @@ impl DurabilitySink for ReplSink {
             writes: writes.to_vec(),
         };
         let mut st = self.shared.lock_state();
-        st.cache.insert(seq, rec);
-        while st.cache.len() > SHIP_CACHE_CAP {
-            st.cache.pop_first();
-        }
+        st.mirrored = st.mirrored.max(seq);
+        st.cache.push(rec);
         seq
     }
 
-    fn sync_to(&self, seq: u64) {
-        self.wal.sync_to(seq);
+    fn sync_to(&self, seq: u64) -> bool {
+        let synced = self.wal.sync_to(seq);
+        // Publish what the log made durable, never what was asked for: a
+        // failed or stopped log returns short of `seq`. Capped at what
+        // the sink has mirrored, so a sender never finds a durable record
+        // the append path has not offered to the cache yet.
+        let durable = self.wal.durable_seq();
         let mut st = self.shared.lock_state();
-        if seq > st.durable {
-            st.durable = seq;
+        let durable = durable.min(st.mirrored);
+        if durable > st.durable {
+            st.durable = durable;
             drop(st);
             self.shared.work.notify_all();
         }
+        synced
     }
 
     fn appended_seq(&self) -> u64 {
@@ -332,7 +418,8 @@ fn accept_loop(shared: Arc<HubShared>, listener: TcpListener) {
 enum Fetch {
     /// Consecutive durable records starting at the cursor.
     Records(Vec<WalRecord>, u64),
-    /// The cache is cold for `[cursor, upto]`; read the segment files.
+    /// The cursor is below the cache: `[cursor, upto]` is a cold episode
+    /// for the segment files.
     Cold(u64),
     /// Caught up and the wait timed out.
     Heartbeat(u64),
@@ -347,12 +434,15 @@ fn next_batch(shared: &HubShared, next: u64) -> Fetch {
             return Fetch::Stop;
         }
         if st.durable >= next {
+            if st.cache.get(next).is_none() {
+                return Fetch::Cold(st.cache.cold_upto(next, st.durable));
+            }
             let upto = st.durable.min(next + (MAX_RECORD_BATCH as u64) - 1);
             let mut records = Vec::new();
             let mut bytes = 0usize;
             let mut seq = next;
             while seq <= upto {
-                match st.cache.get(&seq) {
+                match st.cache.get(seq) {
                     Some(r) => {
                         // Bound the batch by estimated encoded size, not
                         // just count: write sets are unbounded, and a
@@ -369,9 +459,6 @@ fn next_batch(shared: &HubShared, next: u64) -> Fetch {
                     }
                     None => break,
                 }
-            }
-            if records.is_empty() {
-                return Fetch::Cold(upto);
             }
             return Fetch::Records(records, st.durable);
         }
@@ -463,44 +550,66 @@ fn stream_records(
                 gauge.sent_seq.store(next - 1, Ordering::Relaxed);
             }
             Fetch::Cold(upto) => {
-                match read_records_from(&shared.dir, next, upto)? {
-                    Some(records) if !records.is_empty() => {
-                        let durable_seq = shared.lock_state().durable;
-                        next = records.last().map(|r| r.seq + 1).unwrap_or(next);
-                        // The cold read is count-bounded; re-chunk it by
-                        // encoded size like the hot path does.
-                        let mut run: Vec<WalRecord> = Vec::new();
-                        let mut bytes = 0usize;
-                        for rec in records {
-                            let cost = record_wire_cost(&rec);
-                            if !run.is_empty() && bytes + cost > MAX_RECORD_BATCH_BYTES {
-                                send_records(stream, std::mem::take(&mut run), durable_seq)
-                                    .map_err(frame_io)?;
-                                bytes = 0;
-                            }
-                            bytes += cost;
-                            run.push(rec);
-                        }
-                        if !run.is_empty() {
-                            send_records(stream, run, durable_seq).map_err(frame_io)?;
-                        }
-                        gauge.sent_seq.store(next - 1, Ordering::Relaxed);
-                    }
+                if !ship_cold(shared, stream, &mut next, upto, gauge)? {
                     // Pruned (or unreadable as a contiguous run): the
                     // checkpoint that pruned it covers the state — ship
                     // a quiesced snapshot instead.
-                    _ => match send_snapshot(shared, stream)? {
+                    match send_snapshot(shared, stream)? {
                         Some(resume) => {
                             next = resume;
                             gauge.sent_seq.store(next - 1, Ordering::Relaxed);
                         }
                         // Kernel not attached yet (mid-boot): breathe.
                         None => thread::sleep(Duration::from_millis(20)),
-                    },
+                    }
                 }
             }
         }
     }
+}
+
+/// One cold episode: ship `[*next, upto]` off the segment files in one
+/// forward pass, a batch at a time as records decode (bounded by count
+/// and estimated size like the hot path's), advancing `*next` and the
+/// peer's gauge with each batch sent. Returns `false` when the files no
+/// longer hold the range, after shipping whatever prefix they did.
+fn ship_cold(
+    shared: &HubShared,
+    stream: &mut TcpStream,
+    next: &mut u64,
+    upto: u64,
+    gauge: &PeerGauge,
+) -> io::Result<bool> {
+    let durable_seq = shared.lock_state().durable;
+    let from = *next;
+    let mut batch: Vec<WalRecord> = Vec::new();
+    let mut bytes = 0usize;
+    let mut ship = |batch: &mut Vec<WalRecord>| -> io::Result<()> {
+        let Some(last) = batch.last().map(|r| r.seq) else {
+            return Ok(());
+        };
+        send_records(stream, std::mem::take(batch), durable_seq).map_err(frame_io)?;
+        *next = last + 1;
+        gauge.sent_seq.store(last, Ordering::Relaxed);
+        Ok(())
+    };
+    let read = stream_records_from(&shared.dir, from, upto, &mut |rec| {
+        let cost = record_wire_cost(&rec);
+        if batch.len() == MAX_RECORD_BATCH
+            || (!batch.is_empty() && bytes + cost > MAX_RECORD_BATCH_BYTES)
+        {
+            ship(&mut batch)?;
+            bytes = 0;
+        }
+        bytes += cost;
+        batch.push(rec);
+        Ok(())
+    })?;
+    ship(&mut batch)?;
+    if let Some(segments) = read {
+        shared.cold_reads.fetch_add(segments, Ordering::Relaxed);
+    }
+    Ok(read.is_some())
 }
 
 /// Ship one run of records, splitting recursively when the encoded
@@ -556,7 +665,7 @@ fn send_snapshot(shared: &HubShared, stream: &mut TcpStream) -> io::Result<Optio
     // gate is still held, so the id watermark shipped with the snapshot
     // matches exactly the state the snapshot covers.
     let (seq, next_txn, objects) =
-        durability.quiesced_snapshot(kernel.table(), || kernel.next_txn());
+        durability.quiesced_snapshot(kernel.table(), || kernel.next_txn())?;
     for chunk in objects.chunks(MAX_SNAPSHOT_CHUNK) {
         write_frame_limit(
             stream,
@@ -583,5 +692,65 @@ fn frame_io(e: FrameError) -> io::Error {
     match e {
         FrameError::Io(e) => e,
         other => io::Error::other(other.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use esr_core::ids::SiteId;
+
+    fn rec(seq: u64, writes: usize) -> WalRecord {
+        WalRecord {
+            seq,
+            txn: TxnId(seq),
+            ts: Timestamp::new(seq, SiteId(0)),
+            exported: 0,
+            writes: (0..writes as u32).map(|o| (ObjectId(o), 1)).collect(),
+        }
+    }
+
+    fn seqs(cache: &ShipCache) -> Vec<u64> {
+        cache.records.iter().map(|r| r.seq).collect()
+    }
+
+    #[test]
+    fn the_ship_cache_stays_within_its_byte_budget_and_evicts_oldest_first() {
+        // Two-write records cost 320; a budget of 1 000 holds three.
+        let mut cache = ShipCache::new(1_000);
+        for seq in 1..=3 {
+            cache.push(rec(seq, 2));
+        }
+        assert_eq!((seqs(&cache), cache.bytes), (vec![1, 2, 3], 960));
+        for seq in 4..=20 {
+            cache.push(rec(seq, 2));
+            assert!(cache.bytes <= 1_000);
+            let held: usize = cache.records.iter().map(record_wire_cost).sum();
+            assert_eq!(held, cache.bytes);
+        }
+        assert_eq!(seqs(&cache), [18, 19, 20], "the newest stay");
+        assert_eq!(cache.get(19).map(|r| r.seq), Some(19));
+        assert!(cache.get(17).is_none() && cache.get(21).is_none());
+        // A wide record pushes out as many small ones as it needs.
+        cache.push(rec(21, 20)); // 896
+        assert_eq!((seqs(&cache), cache.bytes), (vec![21], 896));
+        // One over budget on its own is not kept at all.
+        cache.push(rec(22, 40));
+        assert_eq!((seqs(&cache), cache.bytes), (vec![], 0));
+    }
+
+    #[test]
+    fn the_ship_cache_stays_dense_and_names_the_cold_range_below_it() {
+        let mut cache = ShipCache::new(10_000);
+        assert_eq!(cache.cold_upto(1, 9), 9, "empty: everything is cold");
+        for seq in 5..=8 {
+            cache.push(rec(seq, 2));
+        }
+        assert_eq!(cache.cold_upto(1, 8), 4, "up to the oldest cached");
+        assert_eq!(cache.cold_upto(2, 3), 3, "never past the durable mark");
+        // A record that does not extend the run restarts it.
+        cache.push(rec(12, 2));
+        assert_eq!(seqs(&cache), [12]);
+        assert_eq!(cache.cold_upto(9, 12), 11);
     }
 }

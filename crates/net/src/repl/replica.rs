@@ -52,7 +52,7 @@ use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -160,8 +160,9 @@ struct NodeShared {
     poisoned: AtomicBool,
     apply_paused: AtomicBool,
     stop: AtomicBool,
-    /// Replica-read capture, fed by the serve front end.
-    capture: Arc<EventLog>,
+    /// Replica-read capture, fed by the serve front end once a caller
+    /// has attached a log ([`ReplicaNode::enable_capture`]).
+    capture: OnceLock<Arc<EventLog>>,
     start: Instant,
 }
 
@@ -202,7 +203,7 @@ impl ReplicaNode {
             poisoned: AtomicBool::new(false),
             apply_paused: AtomicBool::new(false),
             stop: AtomicBool::new(false),
-            capture: Arc::new(EventLog::bounded(65_536)),
+            capture: OnceLock::new(),
             start: Instant::now(),
         });
         let mut threads = Vec::new();
@@ -373,13 +374,33 @@ impl ReplicaNode {
             .unwrap_or(0)
     }
 
+    /// Attach (or retrieve) the log replica reads are recorded into, as
+    /// [`esr_tso::Kernel::enable_capture`] does for the primary: the
+    /// first call creates it, later calls return the same one, and
+    /// nothing is recorded before the first call.
+    pub fn enable_capture(&self) -> Arc<EventLog> {
+        Arc::clone(
+            self.shared
+                .capture
+                .get_or_init(|| Arc::new(EventLog::new())),
+        )
+    }
+
     /// The captured history of this node's replica reads, in the shape
-    /// `esr-checker` replays.
-    pub fn capture_history(&self) -> History {
-        History {
+    /// `esr-checker` replays, if capture has been enabled.
+    pub fn capture_history(&self) -> Option<History> {
+        self.shared.capture.get().map(|log| History {
             schema: self.shared.cfg.schema.clone(),
             config: KernelConfig::default(),
-            events: self.shared.capture.events(),
+            events: log.events(),
+        })
+    }
+
+    /// Record one replica-read event if a log is attached; the event is
+    /// built only then.
+    pub(crate) fn record(&self, event: impl FnOnce() -> EventKind) {
+        if let Some(log) = self.shared.capture.get() {
+            log.record(event());
         }
     }
 
@@ -398,7 +419,7 @@ impl ReplicaNode {
             lag_micros: self.lag_micros(),
             divergence_total,
             divergence_groups,
-            peers: Vec::new(),
+            ..ReplicationStats::default()
         }
     }
 
@@ -750,12 +771,6 @@ fn apply_loop(shared: &Arc<NodeShared>) {
     // Drain nothing further; flush what was applied.
     let eng = shared.lock_engine();
     eng.wal.sync_to(eng.applied_seq);
-}
-
-/// Record a replica read into the capture stream (called by the serve
-/// front end with the admission already done).
-pub(crate) fn record_capture(node: &ReplicaNode, kind: EventKind) {
-    node.shared.capture.record(kind);
 }
 
 fn frame_io(e: FrameError) -> io::Error {

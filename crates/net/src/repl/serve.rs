@@ -28,14 +28,15 @@
 //! busy-rejects them rather than passing its frozen shadow off as
 //! zero divergence.
 //!
-//! Every admitted read is recorded as an
-//! [`EventKind::ReplicaRead`] capture event, so cross-site histories
-//! can be replayed through `esr-checker` against the advertised
-//! bounds.
+//! Once a caller has attached a capture log
+//! ([`ReplicaNode::enable_capture`]), every admitted read is recorded as
+//! an [`EventKind::ReplicaRead`] event, so cross-site histories can be
+//! replayed through `esr-checker` against the advertised bounds. Until
+//! then no event is even built.
 //!
 //! [`Ledger`]: esr_core::ledger::Ledger
 
-use super::replica::{record_capture, ReplicaNode};
+use super::replica::ReplicaNode;
 use crate::conn::{Connections, ReplyPort, WRITE_TIMEOUT};
 use crate::listen::{accept_until_stopped, wake};
 use crate::msg::{ReplyBody, RequestBody, WireReply, WireRequest};
@@ -182,7 +183,9 @@ fn conn_loop(shared: &ServeShared, stream: TcpStream) {
     // Orphan-reap: a dropped connection aborts its open queries, and
     // the capture stream says so.
     for (txn, _) in txns.drain() {
-        record_capture(&shared.node, EventKind::Abort { txn, reason: None });
+        shared
+            .node
+            .record(|| EventKind::Abort { txn, reason: None });
     }
 }
 
@@ -207,15 +210,12 @@ fn dispatch(
             let txn = TxnId(shared.txn_counter.fetch_add(1, Ordering::SeqCst));
             let ledger = Ledger::new(node.schema(), &bounds);
             let strict = bounds.is_serializable();
-            record_capture(
-                node,
-                EventKind::Begin {
-                    txn,
-                    kind,
-                    ts,
-                    bounds,
-                },
-            );
+            node.record(|| EventKind::Begin {
+                txn,
+                kind,
+                ts,
+                bounds,
+            });
             txns.insert(
                 txn,
                 TxnState {
@@ -240,16 +240,13 @@ fn dispatch(
                     writes: 0,
                     written: Vec::new(),
                 };
-                record_capture(
-                    node,
-                    EventKind::Commit {
-                        txn,
-                        info: info.clone(),
-                    },
-                );
+                node.record(|| EventKind::Commit {
+                    txn,
+                    info: info.clone(),
+                });
                 ReplyBody::End(EndReply::Committed(info))
             } else {
-                record_capture(node, EventKind::Abort { txn, reason: None });
+                node.record(|| EventKind::Abort { txn, reason: None });
                 ReplyBody::End(EndReply::Aborted)
             }
         }
@@ -290,18 +287,15 @@ fn run_op(
             match state.ledger.try_charge(obj, d, oil) {
                 Ok(()) => {
                     state.reads += 1;
-                    record_capture(
-                        node,
-                        EventKind::ReplicaRead {
-                            txn,
-                            obj,
-                            local,
-                            shadow,
-                            d,
-                            lag: node.lag_records(),
-                            oil,
-                        },
-                    );
+                    node.record(|| EventKind::ReplicaRead {
+                        txn,
+                        obj,
+                        local,
+                        shadow,
+                        d,
+                        lag: node.lag_records(),
+                        oil,
+                    });
                     OpReply::Value(local)
                 }
                 Err(_) => OpReply::Error(busy_reject(retry_hint(node))),
@@ -368,18 +362,15 @@ fn run_batch(
     let replies = planned
         .into_iter()
         .map(|(obj, local, shadow, d, oil)| {
-            record_capture(
-                node,
-                EventKind::ReplicaRead {
-                    txn,
-                    obj,
-                    local,
-                    shadow,
-                    d,
-                    lag,
-                    oil,
-                },
-            );
+            node.record(|| EventKind::ReplicaRead {
+                txn,
+                obj,
+                local,
+                shadow,
+                d,
+                lag,
+                oil,
+            });
             OpReply::Value(local)
         })
         .collect();

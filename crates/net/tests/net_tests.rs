@@ -352,6 +352,7 @@ fn shutdown_of_wildcard_bound_listeners_returns_promptly() {
         assert!(metrics.local_addr().ip().is_unspecified());
 
         let hub = ReplicationHub::new(&hub_dir, false).expect("hub");
+        hub.attach(tcp.server());
         let hub_addr = hub.serve(wildcard()).expect("serve subscribers");
         assert!(hub_addr.ip().is_unspecified());
         let node = ReplicaNode::start(ReplicaConfig {
@@ -366,7 +367,8 @@ fn shutdown_of_wildcard_bound_listeners_returns_promptly() {
             apply_delay_micros: 0,
         })
         .expect("replica node");
-        while hub.replication_stats().peers.is_empty() {
+        let peers = || tcp.server().stats().replication.expect("attached").peers;
+        while peers().is_empty() {
             std::thread::sleep(Duration::from_millis(5));
         }
         let replica = ReplicaServer::start(Arc::clone(&node), wildcard()).expect("replica server");

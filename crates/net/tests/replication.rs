@@ -13,17 +13,19 @@ use esr_checker::{check_replicated, ReplicatedCapture};
 use esr_clock::Timestamp;
 use esr_core::bounds::Limit;
 use esr_core::hierarchy::HierarchySchema;
-use esr_core::ids::{ObjectId, SiteId, TxnKind};
+use esr_core::ids::{ObjectId, SiteId, TxnId, TxnKind};
 use esr_core::spec::TxnBounds;
 use esr_core::value::Value;
+use esr_net::repl::hub::SHIP_CACHE_BYTES;
 use esr_net::{
     is_busy_error, MetricsServer, NetClientConfig, ReplicaConfig, ReplicaNode, ReplicaServer,
     ReplicationHub, TcpConnection, TcpServer,
 };
 use esr_replica::{LogEntry, Replica};
-use esr_server::{start_durable_with, ServerConfig};
+use esr_server::{start_durable_with, ReplicationStats, ServerConfig};
 use esr_storage::catalog::CatalogConfig;
-use esr_storage::wal::WalOptions;
+use esr_storage::wal::{DurabilitySink, Wal, WalOptions};
+use esr_tso::capture::EventKind;
 use esr_tso::KernelConfig;
 use esr_txn::{Session, SessionError};
 use rand::rngs::SmallRng;
@@ -83,13 +85,13 @@ fn start_primary(dir: &Path, schema: HierarchySchema, n_objects: u32) -> Primary
     }
 }
 
-fn start_replica(
+fn start_node(
     dir: &Path,
     primary: &Primary,
     schema: HierarchySchema,
     n_objects: u32,
-) -> (Arc<ReplicaNode>, ReplicaServer) {
-    let node = ReplicaNode::start(ReplicaConfig {
+) -> Arc<ReplicaNode> {
+    ReplicaNode::start(ReplicaConfig {
         data_dir: dir.to_path_buf(),
         primary: primary.repl_addr.to_string(),
         catalog: catalog(n_objects),
@@ -97,10 +99,35 @@ fn start_replica(
         checkpoint_every: 0,
         apply_delay_micros: 0,
     })
-    .unwrap();
-    let server =
-        ReplicaServer::start(Arc::clone(&node), TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
+    .unwrap()
+}
+
+fn serve(node: &Arc<ReplicaNode>) -> ReplicaServer {
+    ReplicaServer::start(Arc::clone(node), TcpListener::bind("127.0.0.1:0").unwrap()).unwrap()
+}
+
+/// A replica node with its read front end, capturing every read it
+/// serves for the cross-site checker.
+fn start_replica(
+    dir: &Path,
+    primary: &Primary,
+    schema: HierarchySchema,
+    n_objects: u32,
+) -> (Arc<ReplicaNode>, ReplicaServer) {
+    let node = start_node(dir, primary, schema, n_objects);
+    node.enable_capture();
+    let server = serve(&node);
     (node, server)
+}
+
+/// The primary's replication block, as its wire `Stats` reports it.
+fn hub_stats(primary: &Primary) -> ReplicationStats {
+    primary
+        .tcp
+        .server()
+        .stats()
+        .replication
+        .expect("an attached hub reports replication")
 }
 
 fn wait_until(what: &str, timeout: Duration, mut cond: impl FnMut() -> bool) {
@@ -116,6 +143,25 @@ fn commit_update(conn: &mut TcpConnection, obj: ObjectId, value: Value) {
     conn.begin(TxnKind::Update, TxnBounds::export(Limit::Unlimited))
         .unwrap();
     conn.write(obj, value).unwrap();
+    conn.commit().unwrap();
+}
+
+/// Commit one update writing `value` to every one of `n` objects.
+fn commit_wide(conn: &mut TcpConnection, n: u32, value: Value) {
+    conn.begin(TxnKind::Update, TxnBounds::export(Limit::Unlimited))
+        .unwrap();
+    for chunk in (0..n).collect::<Vec<_>>().chunks(1024) {
+        let ops = chunk
+            .iter()
+            .map(|&o| esr_tso::Operation::Write(ObjectId(o), value))
+            .collect();
+        for reply in conn.batch(ops).unwrap() {
+            assert!(
+                matches!(reply, esr_server::OpReply::Written),
+                "write refused: {reply:?}"
+            );
+        }
+    }
     conn.commit().unwrap();
 }
 
@@ -373,11 +419,14 @@ fn replication_gauges_are_exported_live() {
     assert_eq!(repl.applied_seq, 0);
     assert_eq!(repl.divergence_total, 7);
 
-    // The primary's hub reports its peer rows.
-    let hub_stats = primary.hub.replication_stats();
-    assert_eq!(hub_stats.role, "primary");
-    assert_eq!(hub_stats.durable_seq, 1);
-    assert_eq!(hub_stats.peers.len(), 1);
+    // The primary's hub reports its peer rows and its ship cache.
+    let hub = hub_stats(&primary);
+    assert_eq!(hub.role, "primary");
+    assert_eq!(hub.durable_seq, 1);
+    assert_eq!(hub.peers.len(), 1);
+    assert_eq!(hub.ship_cache_records, 1);
+    assert!(hub.ship_cache_bytes > 0);
+    assert_eq!(hub.cold_reads, 0, "a live subscriber never reads cold");
 
     node.resume_apply();
     wait_until("replica to catch up", Duration::from_secs(10), || {
@@ -534,7 +583,7 @@ fn cross_site_capture_replays_clean_and_tamper_is_caught() {
             .kernel()
             .capture_history()
             .expect("capture enabled"),
-        replicas: vec![node.capture_history()],
+        replicas: vec![node.capture_history().expect("capture enabled")],
         initial: vec![VALUE; n as usize],
     };
     let report = check_replicated(&capture);
@@ -579,27 +628,12 @@ fn wide_write_set_backlog_ships_without_wedging() {
     let n = 2_000u32;
     let primary = start_primary(&pdir, HierarchySchema::two_level(), n);
 
-    // 256 commits, each writing every object: the ship cache holds a
-    // backlog encoding to several MB, all hot when the replica arrives.
+    // 256 commits, each writing every object: a backlog encoding to
+    // several MB, its tail in the ship cache when the replica arrives.
     let mut writer = TcpConnection::connect(primary.tcp.local_addr()).unwrap();
     let commits = 256u64;
     for i in 0..commits {
-        writer
-            .begin(TxnKind::Update, TxnBounds::export(Limit::Unlimited))
-            .unwrap();
-        for chunk in (0..n).collect::<Vec<_>>().chunks(1024) {
-            let ops = chunk
-                .iter()
-                .map(|&o| esr_tso::Operation::Write(ObjectId(o), VALUE + i as Value))
-                .collect();
-            for reply in writer.batch(ops).unwrap() {
-                assert!(
-                    matches!(reply, esr_server::OpReply::Written),
-                    "write refused: {reply:?}"
-                );
-            }
-        }
-        writer.commit().unwrap();
+        commit_wide(&mut writer, n, VALUE + i as Value);
     }
 
     // Subscribe from scratch: the whole backlog must stream through
@@ -611,6 +645,120 @@ fn wide_write_set_backlog_ships_without_wedging() {
     assert_eq!(node.divergence_total(), 0);
     assert_eq!(node.value(ObjectId(0)), VALUE + (commits - 1) as Value);
     assert_eq!(node.value(ObjectId(n - 1)), VALUE + (commits - 1) as Value);
+
+    rserver.shutdown();
+    node.shutdown();
+    primary.hub.shutdown();
+    let _ = std::fs::remove_dir_all(&pdir);
+    let _ = std::fs::remove_dir_all(&rdir);
+}
+
+/// The ship cache holds at most its byte budget, and a subscriber
+/// behind it catches up from the segment files in one cold episode —
+/// every segment of the range read once, not once per 512 records —
+/// and then rides the cache: later records ship without another read.
+#[test]
+fn a_subscriber_behind_the_cache_catches_up_in_one_pass_then_rides_the_cache() {
+    let pdir = scratch("cold-p");
+    let rdir = scratch("cold-r");
+    let n = 1_000u32;
+    // Segment one: records a previous incarnation of the primary logged,
+    // now on disk only (a restart empties the cache).
+    let old = 50u64;
+    {
+        let wal = Wal::open(&pdir, 1, WalOptions::default()).unwrap();
+        for seq in 1..=old {
+            let ts = Timestamp::new(seq, SiteId(0));
+            wal.append_commit(TxnId(seq), ts, 0, &[(ObjectId(0), VALUE + seq as Value)]);
+        }
+        assert!(wal.sync_to(old));
+    }
+    // Segment two: commits of every object, well past the cache's budget
+    // (each is charged ~32 KB, so the budget holds about 130).
+    let primary = start_primary(&pdir, HierarchySchema::two_level(), n);
+    let mut writer = TcpConnection::connect(primary.tcp.local_addr()).unwrap();
+    let wide = 200u64;
+    for i in 0..wide {
+        commit_wide(&mut writer, n, VALUE + i as Value);
+    }
+    let hub = hub_stats(&primary);
+    assert_eq!(hub.durable_seq, old + wide);
+    assert!(hub.ship_cache_bytes <= SHIP_CACHE_BYTES as u64, "{hub:?}");
+    assert!(
+        hub.ship_cache_records > 0 && hub.ship_cache_records < wide,
+        "the budget evicts the oldest and keeps the newest: {hub:?}"
+    );
+    assert_eq!(hub.cold_reads, 0);
+
+    let node = start_node(&rdir, &primary, HierarchySchema::two_level(), n);
+    wait_until(
+        "the backlog to ship and apply",
+        Duration::from_secs(60),
+        || node.applied_seq() >= old + wide,
+    );
+    assert_eq!(
+        hub_stats(&primary).cold_reads,
+        2,
+        "one cold episode reads each of the two segments once"
+    );
+    for i in 0..5 {
+        commit_update(&mut writer, ObjectId(1), VALUE + i);
+    }
+    wait_until("live records to ship", Duration::from_secs(10), || {
+        node.applied_seq() >= old + wide + 5
+    });
+    assert_eq!(hub_stats(&primary).cold_reads, 2, "back on the hot path");
+    assert_eq!(node.value(ObjectId(1)), VALUE + 4);
+    assert_eq!(node.value(ObjectId(n - 1)), VALUE + (wide - 1) as Value);
+    assert_eq!(node.divergence_total(), 0);
+    assert!(node.capture_history().is_none(), "no log was attached");
+
+    node.shutdown();
+    primary.hub.shutdown();
+    let _ = std::fs::remove_dir_all(&pdir);
+    let _ = std::fs::remove_dir_all(&rdir);
+}
+
+/// A replica records its reads only once a caller attaches a log; until
+/// then there is no history and no event is kept.
+#[test]
+fn replica_reads_are_captured_only_once_a_log_is_attached() {
+    let pdir = scratch("attach-p");
+    let rdir = scratch("attach-r");
+    let primary = start_primary(&pdir, HierarchySchema::two_level(), 2);
+    let node = start_node(&rdir, &primary, HierarchySchema::two_level(), 2);
+    let rserver = serve(&node);
+    wait_until("replica to connect", Duration::from_secs(10), || {
+        node.connected() && node.fresh()
+    });
+    let mut reader = TcpConnection::connect(rserver.addr()).unwrap();
+    let read_once = |reader: &mut TcpConnection| {
+        reader
+            .begin(TxnKind::Query, TxnBounds::import(Limit::Unlimited))
+            .unwrap();
+        assert_eq!(reader.read(ObjectId(0)).unwrap(), VALUE);
+        reader.commit().unwrap();
+    };
+    read_once(&mut reader);
+    assert!(node.capture_history().is_none());
+
+    let log = node.enable_capture();
+    assert!(log.is_empty(), "nothing recorded before the attach");
+    read_once(&mut reader);
+    let kinds: Vec<_> = node
+        .capture_history()
+        .expect("attached")
+        .events
+        .iter()
+        .map(|e| match e.kind {
+            EventKind::Begin { .. } => "begin",
+            EventKind::ReplicaRead { .. } => "read",
+            EventKind::Commit { .. } => "commit",
+            _ => "other",
+        })
+        .collect();
+    assert_eq!(kinds, ["begin", "read", "commit"]);
+    assert!(Arc::ptr_eq(&log, &node.enable_capture()), "one log");
 
     rserver.shutdown();
     node.shutdown();
@@ -693,7 +841,7 @@ fn two_replicas_converge_independently() {
         assert_eq!(node.value(ObjectId(0)), VALUE + 4);
         assert_eq!(node.divergence_total(), 0);
     }
-    assert_eq!(primary.hub.replication_stats().peers.len(), 2);
+    assert_eq!(hub_stats(&primary).peers.len(), 2);
 
     for (server, node) in [(&s1, &n1), (&s2, &n2)] {
         let mut reader = TcpConnection::connect(server.addr()).unwrap();

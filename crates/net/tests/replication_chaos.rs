@@ -131,6 +131,7 @@ fn shipping_link_survives_seeded_chaos() {
         apply_delay_micros: 0,
     })
     .unwrap();
+    node.enable_capture();
     let rserver =
         ReplicaServer::start(Arc::clone(&node), TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
 
@@ -227,7 +228,7 @@ fn shipping_link_survives_seeded_chaos() {
     // charged exactly and stayed within its advertised bounds.
     let capture = ReplicatedCapture {
         primary: primary.tcp.server().kernel().capture_history().unwrap(),
-        replicas: vec![node.capture_history()],
+        replicas: vec![node.capture_history().expect("capture enabled")],
         initial: vec![VALUE; n as usize],
     };
     let report = check_replicated(&capture);

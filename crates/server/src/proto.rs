@@ -116,6 +116,17 @@ esr_obs::metrics! {
             gauge lag_micros,
             /// Sum over all objects of `distance(local value, primary shadow)`.
             gauge divergence_total,
+            /// Primary: bytes held by the ship cache, in estimated wire
+            /// size (bounded by the hub's byte budget).
+            #[serde(default)]
+            gauge ship_cache_bytes,
+            /// Primary: records held by the ship cache.
+            #[serde(default)]
+            gauge ship_cache_records,
+            /// Primary: log segment files read to catch up subscribers
+            /// behind the ship cache — one per segment per cold episode.
+            #[serde(default)]
+            counter cold_reads,
         }
         fields {
             /// The same divergence, broken down by top-level hierarchy group

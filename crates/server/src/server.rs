@@ -9,6 +9,7 @@ use esr_clock::{
     TimestampGenerator,
 };
 use esr_core::ids::{SiteId, TxnId};
+use esr_storage::wal::not_durable;
 use esr_tso::{AbortReason, Kernel, KernelError, OpOutcome, PendingOp};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -543,13 +544,14 @@ impl RpcHandle {
                 };
                 match result {
                     Ok(end) => {
-                        let answer = match end.info {
+                        let mut answer = match end.info {
                             Some(info) => EndReply::Committed(info),
                             None => EndReply::Aborted,
                         };
                         // Durability gate: the commit's redo record
                         // must be fsynced before the client is told
-                        // "committed". Blocking here is what batches
+                        // "committed", and a log that failed first
+                        // refuses instead. Blocking here is what batches
                         // concurrent commits into one group-commit
                         // fsync. Woken waiters are drained first: they
                         // make progress during the wait, and never
@@ -557,7 +559,9 @@ impl RpcHandle {
                         // takes its reply.
                         drain_woken(kernel, pending, end.woken);
                         if let (Some(seq), Some(d)) = (end.durable_seq, kernel.durability()) {
-                            d.sink().sync_to(seq);
+                            if !d.sink().sync_to(seq) {
+                                answer = EndReply::Error(not_durable(seq).to_string());
+                            }
                         }
                         reply.send(answer);
                     }

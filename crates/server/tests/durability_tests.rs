@@ -259,3 +259,51 @@ fn drop_joins_every_background_thread_within_watchdog() {
         .expect("server drop hung: a background thread was not joined");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Regression: a log whose disk fails makes the daemon refuse commits,
+/// not wedge. The flusher used to latch `failed` and leave every waiter
+/// parked: the first `End` below never answered, a checkpoint held the
+/// commit gate for ever (so every later update commit blocked), and
+/// `Server::shutdown` hung joining the checkpointer. The log's segment
+/// is `/dev/full`, where every write fails with ENOSPC.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failed_log_refuses_commits_instead_of_wedging_the_daemon() {
+    use esr_storage::wal::Wal;
+    use esr_tso::Kernel;
+    use std::sync::Arc;
+
+    let dir = tempdir("dev-full");
+    std::os::unix::fs::symlink("/dev/full", dir.join(format!("wal-{:020}.esrlog", 1))).unwrap();
+    let wal_dir = dir.clone();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let wal = Wal::open(&wal_dir, 1, WalOptions::default()).unwrap();
+        let kernel = Kernel::with_defaults(catalog(4).build());
+        kernel.enable_durability(Arc::new(wal));
+        let config = ServerConfig {
+            checkpoint_interval: Some(Duration::from_millis(10)),
+            ..ServerConfig::default()
+        };
+        let server = Server::start(kernel, config);
+        for value in [1, 2] {
+            let mut c = server.connect();
+            c.begin(TxnKind::Update, TxnBounds::export(Limit::ZERO))
+                .unwrap();
+            c.write(ObjectId(0), value).unwrap();
+            let err = c.commit().expect_err("acknowledged a commit the log lost");
+            assert!(err.to_string().contains("durable"), "{err}");
+            // A checkpoint may not cover what the log lost, and fails
+            // rather than parking under the commit gate.
+            assert!(server.kernel().checkpoint().is_err());
+        }
+        assert!(server.stats().wal_failed);
+        drop(server); // joins the checkpointer, then stops the log
+        done_tx.send(()).unwrap();
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a failed log wedged the daemon");
+    worker.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -9,12 +9,13 @@
 use esr_core::bounds::Limit;
 use esr_core::ids::{ObjectId, TxnKind};
 use esr_core::spec::TxnBounds;
-use esr_server::{Server, ServerConfig};
+use esr_server::{Connection, Server, ServerConfig};
 use esr_storage::catalog::CatalogConfig;
 use esr_tso::{Kernel, KernelConfig};
 use esr_txn::{Session, SessionError};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 const THREADS: usize = 8;
 const TXNS_PER_THREAD: usize = 150;
@@ -41,6 +42,44 @@ impl Lcg {
     }
 }
 
+/// Every thread's first transaction meets the same hot key, so parks and
+/// wakes happen on every run rather than when the random mix happens to
+/// collide. Thread 0 holds an uncommitted write on object 0 while the
+/// others, begun after it (later timestamps), read it strictly and park;
+/// it commits once one of them is parked. Returns whether the
+/// transaction committed.
+fn first_txn_meets_the_hot_key(
+    t: usize,
+    conn: &mut Connection,
+    start: &Barrier,
+    kernel: &Kernel,
+) -> bool {
+    if t == 0 {
+        conn.begin(TxnKind::Update, TxnBounds::export(Limit::Unlimited))
+            .expect("begin never fails");
+        conn.write(ObjectId(0), 7)
+            .expect("the first write meets no one");
+        start.wait();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while kernel.waitq_depth() == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        conn.commit().expect("the writer commits");
+        return true;
+    }
+    start.wait();
+    conn.begin(TxnKind::Query, TxnBounds::import(Limit::ZERO))
+        .expect("begin never fails");
+    match conn.read(ObjectId(0)) {
+        Ok(_) => {
+            conn.commit().expect("a strict query commits");
+            true
+        }
+        Err(SessionError::Aborted(_)) => false,
+        Err(e) => panic!("unexpected session error: {e:?}"),
+    }
+}
+
 #[test]
 fn stress_hot_keys_across_shards_preserves_invariants() {
     let values: Vec<i64> = (0..HOT_OBJECTS as i64).map(|i| 1_000 * (i + 1)).collect();
@@ -59,15 +98,25 @@ fn stress_hot_keys_across_shards_preserves_invariants() {
     let committed = Arc::new(AtomicU64::new(0));
     let aborted = Arc::new(AtomicU64::new(0));
 
+    let start = Arc::new(Barrier::new(THREADS));
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let mut conn = server.connect();
             let attempted = Arc::clone(&attempted);
             let committed = Arc::clone(&committed);
             let aborted = Arc::clone(&aborted);
+            let start = Arc::clone(&start);
+            let kernel = Arc::clone(server.kernel());
             std::thread::spawn(move || {
+                attempted.fetch_add(1, Ordering::Relaxed);
+                let outcome = if first_txn_meets_the_hot_key(t, &mut conn, &start, &kernel) {
+                    &committed
+                } else {
+                    &aborted
+                };
+                outcome.fetch_add(1, Ordering::Relaxed);
                 let mut rng = Lcg(0x9E3779B9 + t as u64 * 0x10001);
-                for _ in 0..TXNS_PER_THREAD {
+                for _ in 1..TXNS_PER_THREAD {
                     let is_query = rng.below(100) < 50;
                     let begun = if is_query {
                         // Mix of strict (parks behind writers) and

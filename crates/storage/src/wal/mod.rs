@@ -48,7 +48,7 @@ pub mod ship;
 
 pub use checkpoint::{snapshots, ObjectSnapshot};
 pub use recover::{recover, Recovered};
-pub use ship::{install_snapshot_dir, read_epoch, read_records_from, write_epoch};
+pub use ship::{install_snapshot_dir, read_epoch, stream_records_from, write_epoch};
 
 use esr_clock::Timestamp;
 use esr_core::codec;
@@ -57,7 +57,7 @@ use esr_core::value::Value;
 use esr_obs::HistogramSnapshot;
 use serde::{Deserialize, Serialize};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -98,8 +98,10 @@ pub trait DurabilitySink: Send + Sync {
         exported: u64,
         writes: &[(ObjectId, Value)],
     ) -> u64;
-    /// Block until every record up to `seq` is durable.
-    fn sync_to(&self, seq: u64);
+    /// Block until every record up to `seq` is durable, and say whether
+    /// it became so: `false` once the log has failed or been shut down
+    /// short of `seq`, and nothing will ever make it durable.
+    fn sync_to(&self, seq: u64) -> bool;
     /// Highest sequence number handed out so far.
     fn appended_seq(&self) -> u64;
     /// Highest sequence number known durable, without waiting: the
@@ -416,11 +418,13 @@ impl DurabilitySink for Wal {
         seq
     }
 
-    fn sync_to(&self, seq: u64) {
+    fn sync_to(&self, seq: u64) -> bool {
         let mut durable = lock(&self.shared.flushed);
         while *durable < seq {
-            if self.stopped.load(Ordering::SeqCst) {
-                return; // shutting down; nothing more will flush
+            // A latched failure (announced under this lock by `fail`) or
+            // a shutdown: nothing more will flush.
+            if self.shared.failed.load(Ordering::SeqCst) || self.stopped.load(Ordering::SeqCst) {
+                return false;
             }
             let (guard, _) = self
                 .shared
@@ -429,6 +433,7 @@ impl DurabilitySink for Wal {
                 .unwrap_or_else(PoisonError::into_inner);
             durable = guard;
         }
+        true
     }
 
     fn appended_seq(&self) -> u64 {
@@ -448,7 +453,10 @@ impl DurabilitySink for Wal {
         // The caller (the kernel's checkpoint entry point) holds the
         // commit gate, so no appends are in flight; drain what's left.
         self.checkpoint_with(seq, &mut || {
-            self.sync_to(self.appended_seq());
+            let head = self.appended_seq();
+            if !self.sync_to(head) {
+                return Err(not_durable(head));
+            }
             checkpoint::write_checkpoint(&self.shared.dir, seq, next_txn, &mut *objects)
         })
     }
@@ -572,16 +580,28 @@ fn flusher_loop(shared: &Shared) {
 
 /// The flusher's exit on an I/O error. A full or failing disk is fatal
 /// for a redo log — better to stop acknowledging commits than to ack
-/// and lose — but it must not be quiet: every committer now blocks in
-/// [`Wal::sync_to`] until shutdown, so say why, once, and latch the
-/// flag `Stats` and `/metrics` report as `wal_failed`.
+/// and lose — but it must not be quiet: say why, once, latch the flag
+/// `Stats` and `/metrics` report as `wal_failed`, and release every
+/// committer parked in [`Wal::sync_to`] with "not durable". The latch is
+/// set under the watermark lock, so no waiter can check it and then
+/// sleep through the wake-up.
 fn fail(shared: &Shared, what: &str, seq: u64, e: &io::Error) {
     eprintln!(
         "esr-wal: {what} failed at record {seq} in {}: {e}; \
          no further commit will be acknowledged",
         shared.dir.display()
     );
+    let _durable = lock(&shared.flushed);
     shared.failed.store(true, Ordering::SeqCst);
+    shared.flushed_cv.notify_all();
+}
+
+/// The error for work that needed every record up to `seq` durable and
+/// found the log failed or shut down short of it.
+pub fn not_durable(seq: u64) -> io::Error {
+    io::Error::other(format!(
+        "write-ahead log failed or stopped before record {seq} was durable"
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -612,35 +632,77 @@ pub(crate) enum Tail {
     Torn { valid_bytes: u64 },
 }
 
+/// Decodes a segment's records one at a time from any byte source,
+/// holding only the record in hand: the payload buffer is reused, and
+/// it grows with the bytes that actually arrive, never ahead of them on
+/// the word of a length prefix.
+pub(crate) struct SegmentReader<R> {
+    src: R,
+    /// Bytes of complete, checksummed records read so far.
+    valid_bytes: u64,
+    payload: Vec<u8>,
+}
+
+impl<R: Read> SegmentReader<R> {
+    pub(crate) fn new(src: R) -> Self {
+        SegmentReader {
+            src,
+            valid_bytes: 0,
+            payload: Vec::new(),
+        }
+    }
+
+    /// The next complete, checksummed record; `None` at the end of the
+    /// source or at the first torn or corrupt record, which
+    /// [`SegmentReader::valid_bytes`] then marks.
+    pub(crate) fn next_record(&mut self) -> io::Result<Option<WalRecord>> {
+        let mut head = [0u8; 8];
+        match self.src.read_exact(&mut head) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+            Err(e) => return Err(e),
+        }
+        let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
+        let crc = u32::from_le_bytes(head[4..].try_into().expect("4 bytes"));
+        if len > MAX_RECORD {
+            return Ok(None);
+        }
+        self.payload.clear();
+        (&mut self.src)
+            .take(u64::from(len))
+            .read_to_end(&mut self.payload)?;
+        if self.payload.len() != len as usize || crc32(&self.payload) != crc {
+            return Ok(None);
+        }
+        match codec::from_bytes::<WalRecord>(&self.payload) {
+            Ok(rec) => {
+                self.valid_bytes += 8 + u64::from(len);
+                Ok(Some(rec))
+            }
+            Err(_) => Ok(None),
+        }
+    }
+
+    /// Bytes of complete, checksummed records read so far: where a torn
+    /// tail begins, once [`SegmentReader::next_record`] has said `None`.
+    pub(crate) fn valid_bytes(&self) -> u64 {
+        self.valid_bytes
+    }
+}
+
 /// Decode every complete, checksummed record in `bytes`.
 pub(crate) fn decode_segment(bytes: &[u8]) -> (Vec<WalRecord>, Tail) {
+    let mut reader = SegmentReader::new(bytes);
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        let torn = Tail::Torn {
-            valid_bytes: pos as u64,
-        };
-        if pos == bytes.len() {
-            return (records, Tail::Clean);
-        }
-        if bytes.len() - pos < 8 {
-            return (records, torn);
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if len > MAX_RECORD || bytes.len() - pos - 8 < len as usize {
-            return (records, torn);
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len as usize];
-        if crc32(payload) != crc {
-            return (records, torn);
-        }
-        match codec::from_bytes::<WalRecord>(payload) {
-            Ok(rec) => records.push(rec),
-            Err(_) => return (records, torn),
-        }
-        pos += 8 + len as usize;
+    // Reading a slice fails only by running out, which is `Ok(None)`.
+    while let Ok(Some(rec)) = reader.next_record() {
+        records.push(rec);
     }
+    let tail = match reader.valid_bytes() {
+        n if n == bytes.len() as u64 => Tail::Clean,
+        valid_bytes => Tail::Torn { valid_bytes },
+    };
+    (records, tail)
 }
 
 // ---------------------------------------------------------------------------
@@ -911,10 +973,11 @@ pub(crate) mod tests {
     }
 
     /// Regression: a flusher that hit an I/O error used to `return`
-    /// without a word, leaving every later `sync_to` spinning on its
-    /// timeout with nothing on stderr or in the stats.
+    /// without a word; then it latched `failed` but left every committer
+    /// parked in `sync_to` until shutdown, which nothing ever reached.
+    /// The latch alone must release every waiter, saying "not durable".
     #[test]
-    fn flusher_io_error_is_latched_and_never_reports_the_record_durable() {
+    fn flusher_io_error_is_latched_and_releases_every_waiter_not_durable() {
         let dir = tempdir("wal-failed");
         let wal = Arc::new(Wal::open(&dir, 1, WalOptions::default()).unwrap());
         assert!(!wal.report().failed);
@@ -923,27 +986,24 @@ pub(crate) mod tests {
         let path = list_segments(&dir).unwrap().pop().unwrap().0;
         lock(&wal.shared.segment).file = File::open(path).unwrap();
         let seq = wal.append_commit(TxnId(1), ts(1), 0, &[(ObjectId(0), 5)]);
-        let returned = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = std::sync::mpsc::channel();
         let waiter = {
-            let (wal, returned) = (Arc::clone(&wal), Arc::clone(&returned));
-            std::thread::spawn(move || {
-                wal.sync_to(seq);
-                returned.store(true, Ordering::SeqCst);
-            })
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || tx.send(wal.sync_to(seq)).unwrap())
         };
-        let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        while !wal.report().failed {
-            assert!(Instant::now() < deadline, "failure never latched");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        // Two of sync_to's 50 ms timeouts later the committer is still
-        // parked and the watermark has not moved.
-        std::thread::sleep(std::time::Duration::from_millis(120));
-        assert!(!returned.load(Ordering::SeqCst), "acked a lost record");
-        assert_eq!((wal.appended_seq(), wal.durable_seq()), (1, 0));
-        wal.shutdown(); // releases the waiter
-        waiter.join().unwrap();
+        let durable = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a failed log left its committer parked");
+        assert!(!durable, "acked a lost record");
         assert!(wal.report().failed);
+        assert_eq!((wal.appended_seq(), wal.durable_seq()), (1, 0));
+        assert!(!wal.sync_to(seq), "a later waiter is refused at once");
+        let head = wal.appended_seq();
+        let checkpoint =
+            wal.write_checkpoint(head, 2, &mut Vec::<ObjectSnapshot>::new().into_iter());
+        assert!(checkpoint.is_err(), "nor may a checkpoint cover it");
+        waiter.join().unwrap();
+        wal.shutdown();
         let _ = fs::remove_dir_all(&dir);
     }
 

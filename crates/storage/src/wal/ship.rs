@@ -3,9 +3,9 @@
 //! a resurrected primary.
 //!
 //! The replication hub streams the WAL to subscribers. Recent records
-//! come from its in-memory cache; a subscriber that reconnects from an
-//! old watermark is served by re-reading the on-disk segments through
-//! [`read_records_from`]. Segments are pruned at checkpoints, so a
+//! come from its in-memory cache; a subscriber behind the cache is
+//! served by one forward pass over the on-disk segments through
+//! [`stream_records_from`]. Segments are pruned at checkpoints, so a
 //! sufficiently stale watermark may no longer be on disk — that case
 //! returns `None` and the hub falls back to shipping a full snapshot,
 //! installed on the replica side via [`install_snapshot_dir`].
@@ -22,80 +22,91 @@
 
 use super::checkpoint::{self, ObjectSnapshot};
 use super::recover::remove_tmp_files;
-use super::{decode_segment, list_segments, WalRecord};
+use super::{list_segments, SegmentReader, WalRecord};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 
 /// Name of the persisted replication-epoch file inside a data dir.
 const EPOCH_FILE: &str = "epoch.esr";
 
-/// Read every durable record with `from_seq <= seq <= upto` back from
-/// the on-disk segments, in sequence order.
+/// Stream every durable record with `from_seq <= seq <= upto` off the
+/// on-disk segments to `each`, in sequence order, in one forward pass:
+/// each segment that can hold part of the range is opened once and
+/// decoded through a fixed buffer as it is read, so the caller holds
+/// only what it keeps of the records it is handed. An error from `each`
+/// ends the pass and is returned.
 ///
-/// Returns `None` when the requested range is no longer fully on disk
-/// (the records up to some checkpoint were pruned): the caller must
-/// fall back to a snapshot. An empty `Vec` is the normal answer when
-/// `from_seq > upto` (nothing to read yet).
+/// Returns the number of segment files read, or `None` when the range
+/// is no longer fully on disk (the records up to some checkpoint were
+/// pruned): the caller must fall back to a snapshot. Records already
+/// handed to `each` by then are a valid prefix of the range.
 ///
 /// Reading races benignly with the live flusher: records at the tail
-/// that are mid-write decode as a torn tail and are skipped, which is
-/// fine because the caller only asks for `upto <=` the durable
+/// that are mid-write decode as a torn tail and end the segment, which
+/// is fine because the caller only asks for `upto <=` the durable
 /// watermark — everything below it is fully written and fsynced.
-pub fn read_records_from(
+pub fn stream_records_from(
     dir: impl AsRef<Path>,
     from_seq: u64,
     upto: u64,
-) -> io::Result<Option<Vec<WalRecord>>> {
-    let dir = dir.as_ref();
+    each: &mut dyn FnMut(WalRecord) -> io::Result<()>,
+) -> io::Result<Option<u64>> {
     if from_seq > upto {
-        return Ok(Some(Vec::new()));
+        return Ok(Some(0));
     }
-    let segments = list_segments(dir)?;
+    let segments = list_segments(dir.as_ref())?;
     // Segment files are named by the first sequence number they can
     // contain; after a prune at checkpoint seq C every surviving file
     // starts at C+1 or later. If the oldest surviving start is past
     // `from_seq`, the range was pruned.
     match segments.first() {
-        Some((_, oldest_start)) if *oldest_start > from_seq => return Ok(None),
-        Some(_) => {}
-        None => return Ok(None),
+        Some((_, oldest_start)) if *oldest_start <= from_seq => {}
+        _ => return Ok(None),
     }
-    let mut out = Vec::new();
+    // A segment holds records below the next one's start, so every
+    // segment before the last one starting at or below `from_seq` lies
+    // wholly below the range.
+    let first = segments
+        .iter()
+        .rposition(|(_, start)| *start <= from_seq)
+        .expect("the oldest segment starts at or below from_seq");
     let mut next = from_seq;
-    for (path, start) in segments {
-        if start > upto {
+    let mut read = 0u64;
+    for (path, start) in &segments[first..] {
+        if *start > upto || next > upto {
             break;
         }
         // A segment deleted between listing and reading was pruned
         // under us; the gap check below converts that into `None`.
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
+        let file = match File::open(path) {
+            Ok(f) => f,
             Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
             Err(e) => return Err(e),
         };
-        let (records, _tail) = decode_segment(&bytes);
-        for rec in records {
+        read += 1;
+        let mut records = SegmentReader::new(BufReader::with_capacity(SEGMENT_READ_BUF, file));
+        while let Some(rec) = records.next_record()? {
             if rec.seq < next {
                 continue;
             }
             if rec.seq > upto {
-                return Ok(Some(out));
+                break;
             }
             if rec.seq != next {
                 // A hole below the durable watermark means the range
                 // is not reconstructible from disk anymore.
                 return Ok(None);
             }
-            out.push(rec);
             next += 1;
+            each(rec)?;
         }
     }
-    if next <= upto {
-        return Ok(None);
-    }
-    Ok(Some(out))
+    Ok((next > upto).then_some(read))
 }
+
+/// Read buffer of one cold segment pass.
+const SEGMENT_READ_BUF: usize = 64 << 10;
 
 /// Read the persisted replication epoch, `0` when none was written.
 pub fn read_epoch(dir: impl AsRef<Path>) -> io::Result<u64> {
@@ -174,19 +185,59 @@ mod tests {
         Timestamp::new(t, SiteId(1))
     }
 
+    /// The seqs one pass hands over, with the segment files it read.
+    fn stream(dir: &Path, from: u64, upto: u64) -> Option<(Vec<u64>, u64)> {
+        let mut seqs = Vec::new();
+        let read = stream_records_from(dir, from, upto, &mut |r| {
+            seqs.push(r.seq);
+            Ok(())
+        })
+        .unwrap();
+        read.map(|n| (seqs, n))
+    }
+
+    fn append(wal: &Wal, seqs: std::ops::RangeInclusive<u64>) {
+        let last = *seqs.end();
+        for i in seqs {
+            wal.append_commit(TxnId(i), ts(i), 0, &[(ObjectId(0), i as i64)]);
+        }
+        assert!(wal.sync_to(last));
+    }
+
     #[test]
     fn reads_back_the_durable_range() {
         let dir = tempdir("ship-read");
         let wal = Wal::open(&dir, 1, WalOptions::default()).unwrap();
-        for i in 1..=5u64 {
-            wal.append_commit(TxnId(i), ts(i), 0, &[(ObjectId(0), i as i64)]);
-        }
-        wal.sync_to(5);
-        let recs = read_records_from(&dir, 2, 4).unwrap().unwrap();
-        assert_eq!(recs.iter().map(|r| r.seq).collect::<Vec<_>>(), [2, 3, 4]);
-        assert_eq!(read_records_from(&dir, 6, 5).unwrap().unwrap(), []);
+        append(&wal, 1..=5);
+        assert_eq!(stream(&dir, 2, 4), Some((vec![2, 3, 4], 1)));
+        assert_eq!(stream(&dir, 6, 5), Some((vec![], 0)));
         // Beyond what exists on disk: not reconstructible.
-        assert_eq!(read_records_from(&dir, 4, 9).unwrap(), None);
+        assert_eq!(stream(&dir, 4, 9), None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_pass_reads_each_segment_of_the_range_once() {
+        let dir = tempdir("ship-segments");
+        // Three incarnations of the log: segments starting at 1, 4, 7.
+        for (start, end) in [(1, 3), (4, 6), (7, 9)] {
+            let wal = Wal::open(&dir, start, WalOptions::default()).unwrap();
+            append(&wal, start..=end);
+        }
+        assert_eq!(list_segments(&dir).unwrap().len(), 3);
+        assert_eq!(stream(&dir, 2, 8), Some(((2..=8).collect(), 3)));
+        // A range starting in the middle segment skips the one below it,
+        // and one ending there leaves the one above it unopened.
+        assert_eq!(stream(&dir, 5, 9), Some(((5..=9).collect(), 2)));
+        assert_eq!(stream(&dir, 4, 5), Some((vec![4, 5], 1)));
+        // The caller's error ends the pass.
+        let mut handed = 0;
+        let err = stream_records_from(&dir, 1, 9, &mut |_| {
+            handed += 1;
+            Err(io::Error::other("peer went away"))
+        });
+        assert!(err.is_err());
+        assert_eq!(handed, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -194,20 +245,13 @@ mod tests {
     fn pruned_range_reports_none() {
         let dir = tempdir("ship-pruned");
         let wal = Wal::open(&dir, 1, WalOptions::default()).unwrap();
-        for i in 1..=2u64 {
-            wal.append_commit(TxnId(i), ts(i), 0, &[(ObjectId(0), i as i64)]);
-        }
-        wal.sync_to(2);
+        append(&wal, 1..=2);
         // Checkpoint-style prune: everything appended so far is covered,
         // later appends land in the fresh segment.
         wal.prune_segments(2).unwrap();
-        for i in 3..=4u64 {
-            wal.append_commit(TxnId(i), ts(i), 0, &[(ObjectId(0), i as i64)]);
-        }
-        wal.sync_to(4);
-        assert_eq!(read_records_from(&dir, 1, 4).unwrap(), None);
-        let recs = read_records_from(&dir, 3, 4).unwrap().unwrap();
-        assert_eq!(recs.iter().map(|r| r.seq).collect::<Vec<_>>(), [3, 4]);
+        append(&wal, 3..=4);
+        assert_eq!(stream(&dir, 1, 4), None);
+        assert_eq!(stream(&dir, 3, 4), Some((vec![3, 4], 1)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

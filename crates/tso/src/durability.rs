@@ -33,7 +33,7 @@ use esr_core::ids::TxnId;
 use esr_core::value::Value;
 use esr_core::ObjectId;
 use esr_storage::table::ObjectTable;
-use esr_storage::wal::{snapshots, DurabilitySink, ObjectSnapshot};
+use esr_storage::wal::{not_durable, snapshots, DurabilitySink, ObjectSnapshot};
 use std::io;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
@@ -112,10 +112,16 @@ impl Durability {
     /// pages, persist the small directory snapshot, and prune the log
     /// segments the snapshot covers — work proportional to what changed
     /// since the last checkpoint, not to the database size.
+    ///
+    /// A log that has failed (or stopped) short of the appended head
+    /// fails the checkpoint at once, releasing the gate: a snapshot may
+    /// not cover records the log never made durable.
     pub fn checkpoint(&self, table: &ObjectTable, next_txn: u64) -> io::Result<u64> {
         let _gate = self.gate.write().unwrap_or_else(PoisonError::into_inner);
         let seq = self.sink.appended_seq();
-        self.sink.sync_to(seq);
+        if !self.sink.sync_to(seq) {
+            return Err(not_durable(seq));
+        }
         match table.pager() {
             Some(heap) => self
                 .sink
@@ -136,17 +142,21 @@ impl Durability {
     /// `next_txn` is sampled *while the commit gate is held*, so the
     /// returned id watermark is exactly consistent with the snapshotted
     /// state — a commit racing the snapshot cannot inflate it (which
-    /// would make a later-promoted replica skip transaction ids).
+    /// would make a later-promoted replica skip transaction ids). Fails
+    /// like [`Durability::checkpoint`] on a log that cannot make the
+    /// snapshot's records durable.
     pub fn quiesced_snapshot(
         &self,
         table: &ObjectTable,
         next_txn: impl FnOnce() -> u64,
-    ) -> (u64, u64, Vec<ObjectSnapshot>) {
+    ) -> io::Result<(u64, u64, Vec<ObjectSnapshot>)> {
         let _gate = self.gate.write().unwrap_or_else(PoisonError::into_inner);
         let seq = self.sink.appended_seq();
-        self.sink.sync_to(seq);
+        if !self.sink.sync_to(seq) {
+            return Err(not_durable(seq));
+        }
         let next_txn = next_txn();
-        (seq, next_txn, snapshots(table).collect())
+        Ok((seq, next_txn, snapshots(table).collect()))
     }
 }
 
@@ -160,11 +170,12 @@ mod tests {
 
     /// An in-memory sink that records call order. Its durable watermark
     /// moves only when someone calls `sync_to`, so a test can hold it
-    /// back.
+    /// back, and never once `failed` is set, like a log whose disk died.
     #[derive(Default)]
     struct FakeSink {
         appended: AtomicU64,
         synced: AtomicU64,
+        failed: std::sync::atomic::AtomicBool,
         records: Mutex<Vec<RecordedCommit>>,
         checkpoints: AtomicU64,
         /// Snapshots drained from checkpoint sources.
@@ -182,8 +193,11 @@ mod tests {
             self.records.lock().unwrap().push((txn, writes.to_vec()));
             self.appended.fetch_add(1, Ordering::SeqCst) + 1
         }
-        fn sync_to(&self, seq: u64) {
-            self.synced.fetch_max(seq, Ordering::SeqCst);
+        fn sync_to(&self, seq: u64) -> bool {
+            if !self.failed.load(Ordering::SeqCst) {
+                self.synced.fetch_max(seq, Ordering::SeqCst);
+            }
+            self.synced.load(Ordering::SeqCst) >= seq
         }
         fn appended_seq(&self) -> u64 {
             self.appended.load(Ordering::SeqCst)
@@ -248,6 +262,31 @@ mod tests {
         assert_eq!(sink.synced.load(Ordering::SeqCst), 1);
         assert_eq!(sink.checkpoints.load(Ordering::SeqCst), 1);
         assert_eq!(sink.objects.load(Ordering::SeqCst), 2, "fed from the table");
+    }
+
+    #[test]
+    fn a_log_that_cannot_sync_fails_the_checkpoint_and_the_snapshot() {
+        let table = esr_storage::CatalogConfig {
+            n_objects: 2,
+            ..Default::default()
+        }
+        .build();
+        let sink = Arc::new(FakeSink::default());
+        let d = Durability::new(Arc::clone(&sink) as Arc<dyn DurabilitySink>);
+        d.install_ordered(TxnId(1), ts(1), |_| (0, vec![(ObjectId(0), 5)]));
+        sink.failed.store(true, Ordering::SeqCst);
+        d.install_ordered(TxnId(2), ts(2), |_| (0, vec![(ObjectId(1), 6)]));
+        assert!(d.checkpoint(&table, 7).is_err());
+        assert_eq!(
+            sink.checkpoints.load(Ordering::SeqCst),
+            0,
+            "nothing written"
+        );
+        assert!(d.quiesced_snapshot(&table, || 7).is_err());
+        // The gate was released: commits still install (and are refused
+        // at their own sync).
+        let (seq, _) = d.install_ordered(TxnId(3), ts(3), |_| (0, vec![(ObjectId(0), 8)]));
+        assert!(!d.sink().sync_to(seq.unwrap()));
     }
 
     /// 64 objects in pages of a paged table whose one shard caches two

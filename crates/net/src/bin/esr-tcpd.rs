@@ -35,9 +35,11 @@
 //! evicted by a CLOCK sweep otherwise, so the database can be larger
 //! than RAM. Checkpoints then flush only dirty pages (incremental)
 //! rather than snapshotting the whole table, and the metrics endpoint
-//! exports `esr_page_cache_*` counters and gauges. A data directory
-//! previously written without the pager is migrated in place on the
-//! first paged boot.
+//! exports `esr_page_cache_*` counters and gauges. A fresh database is
+//! written to the heap file one page at a time, so boot memory does not
+//! grow with `--objects`. A data directory previously written without
+//! the pager is migrated in place on the first paged boot; after that it
+//! boots only with `--cache-pages`.
 //!
 //! With `--metrics-addr` a second listener serves the live observability
 //! layer over plain HTTP: `curl http://ADDR/metrics` returns kernel

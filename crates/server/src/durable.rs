@@ -5,9 +5,11 @@
 //! so the recovery sequence under test is exactly the one the daemon
 //! runs:
 //!
-//! 1. [`esr_storage::wal::recover`] rebuilds committed state from the
-//!    newest valid checkpoint plus the log tail (truncating any torn
-//!    record) — or from the catalog on first boot;
+//! 1. [`esr_storage::wal::recover`] (resident) or
+//!    [`esr_storage::recover_paged`] (paged) rebuilds committed state
+//!    from the newest valid checkpoint or directory snapshot plus the
+//!    log tail (truncating any torn record) — or from the catalog on
+//!    first boot;
 //! 2. a fresh [`Wal`] segment is opened at the recovered sequence;
 //! 3. the kernel is built over the recovered table, its transaction-id
 //!    counter raised past every journaled id, and the sink attached;
@@ -66,8 +68,10 @@ struct Recovered {
 ///
 /// With [`ServerConfig::cache_pages`] set, the object table is backed
 /// by the paged heap: recovery goes through
-/// [`esr_storage::recover_paged`] (migrating a resident-built directory
-/// on first paged boot), reads pin pages through the buffer pool, and
+/// [`esr_storage::recover_paged`] (a fresh directory streams the catalog
+/// into pages without building the table in memory; a resident-built
+/// directory migrates from its newest checkpoint on first paged boot,
+/// one-way), reads pin pages through the buffer pool, and
 /// checkpoints flush dirty pages incrementally instead of snapshotting
 /// the whole table.
 pub fn start_durable(

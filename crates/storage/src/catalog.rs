@@ -86,9 +86,37 @@ impl Default for CatalogConfig {
 
 impl CatalogConfig {
     /// The pristine object states this config describes, before any
-    /// transaction has touched them. Crash recovery starts from these
-    /// when no checkpoint exists and replays the log on top.
+    /// transaction has touched them, drawn one at a time as the iterator
+    /// is advanced. Crash recovery starts from these when no checkpoint
+    /// exists and replays the log on top; the pager streams them
+    /// straight into heap pages, so a fresh paged database never holds
+    /// its whole table.
+    pub fn states(&self) -> impl ExactSizeIterator<Item = ObjectState> + '_ {
+        self.draw(self.n_objects, |_, drawn| drawn)
+    }
+
+    /// [`CatalogConfig::states`], collected.
     pub fn build_states(&self) -> Vec<ObjectState> {
+        self.states().collect()
+    }
+
+    /// Like [`CatalogConfig::build_states`] but with explicitly
+    /// supplied initial values (a literal start-up data file). Limits
+    /// still follow the config, and for the same seed they are the
+    /// limits [`CatalogConfig::states`] assigns.
+    pub fn build_states_with_values(&self, values: &[Value]) -> Vec<ObjectState> {
+        self.draw(values.len() as u32, |i, _| values[i]).collect()
+    }
+
+    /// The one draw loop: for each of `n` objects in id order, a value
+    /// from `value_lo..=value_hi`, then the OIL, then the OEL. `pick`
+    /// maps `(index, drawn value)` to the initial value, so a supplied
+    /// value replaces the draw without shifting the limits' draws.
+    fn draw<'a>(
+        &'a self,
+        n: u32,
+        pick: impl Fn(usize, Value) -> Value + 'a,
+    ) -> impl ExactSizeIterator<Item = ObjectState> + 'a {
         assert!(
             self.value_lo <= self.value_hi,
             "invalid value range {}..={}",
@@ -96,30 +124,12 @@ impl CatalogConfig {
             self.value_hi
         );
         let mut rng = StdRng::seed_from_u64(self.seed);
-        (0..self.n_objects)
-            .map(|i| {
-                let value = rng.gen_range(self.value_lo..=self.value_hi);
-                let oil = self.oil.draw(&mut rng);
-                let oel = self.oel.draw(&mut rng);
-                ObjectState::new(ObjectId(i), value, self.history_depth, oil, oel)
-            })
-            .collect()
-    }
-
-    /// Like [`CatalogConfig::build_states`] but with explicitly
-    /// supplied initial values (a literal start-up data file). Limits
-    /// still follow the config.
-    pub fn build_states_with_values(&self, values: &[Value]) -> Vec<ObjectState> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        values
-            .iter()
-            .enumerate()
-            .map(|(i, &value)| {
-                let oil = self.oil.draw(&mut rng);
-                let oel = self.oel.draw(&mut rng);
-                ObjectState::new(ObjectId(i as u32), value, self.history_depth, oil, oel)
-            })
-            .collect()
+        (0..n).map(move |i| {
+            let value = pick(i as usize, rng.gen_range(self.value_lo..=self.value_hi));
+            let oil = self.oil.draw(&mut rng);
+            let oel = self.oel.draw(&mut rng);
+            ObjectState::new(ObjectId(i), value, self.history_depth, oil, oel)
+        })
     }
 
     /// Materialise the table.
@@ -188,6 +198,26 @@ mod tests {
         let t = c.build_with_values(&[7, 8, 9]);
         assert_eq!(t.values(), vec![7, 8, 9]);
         assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn supplied_values_keep_the_drawn_limits() {
+        let c = CatalogConfig {
+            n_objects: 300,
+            oil: LimitAssignment::UniformRange { lo: 1, hi: 1_000 },
+            oel: LimitAssignment::UniformRange { lo: 1, hi: 1_000 },
+            seed: 7,
+            ..CatalogConfig::default()
+        };
+        let limits = |states: Vec<ObjectState>| -> Vec<_> {
+            states.into_iter().map(|s| (s.id, s.oil, s.oel)).collect()
+        };
+        let drawn = c.build_states();
+        let supplied = c.build_states_with_values(&vec![42; 300]);
+        assert!(supplied.iter().all(|s| s.value == 42));
+        assert_ne!(drawn[0].value, 42);
+        assert_eq!(limits(drawn), limits(supplied));
+        assert_eq!(c.states().len(), 300);
     }
 
     #[test]

@@ -42,7 +42,7 @@ const MAGIC: &[u8; 8] = b"ESRPGDR1";
 // ---------------------------------------------------------------------------
 
 /// Pack a `(logical, slot)` pair into the directory's u64 entry.
-fn pack_loc(logical: u32, slot: u16) -> u64 {
+pub(crate) fn pack_loc(logical: u32, slot: u16) -> u64 {
     (u64::from(logical) << 16) | u64::from(slot)
 }
 
@@ -53,15 +53,6 @@ pub(crate) struct Directory {
 }
 
 impl Directory {
-    pub(crate) fn from_assignments(assignments: Vec<(u32, u16)>) -> Directory {
-        Directory {
-            entries: assignments
-                .into_iter()
-                .map(|(l, s)| pack_loc(l, s))
-                .collect(),
-        }
-    }
-
     pub(crate) fn from_packed(entries: Vec<u64>) -> Directory {
         Directory { entries }
     }
@@ -266,14 +257,49 @@ fn snapshot_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("pagedir-{seq:020}.esrdir"))
 }
 
+/// The snapshot file's bytes: magic, the payload's CRC-32, then the
+/// payload, which is exactly `codec::to_bytes(snap)`. The payload is
+/// written field by field with the codec's streaming headers, so the
+/// directory (a few bytes per object) is never first built into a
+/// serde tree of tens of bytes per entry.
+fn encode_snapshot(snap: &DirectorySnapshot) -> Vec<u8> {
+    let entries = snap.directory.len() + snap.page_map.len() + snap.free.len();
+    let mut out = Vec::with_capacity(128 + 9 * entries);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&[0; 4]); // the CRC, patched in below
+    codec::put_map_header(&mut out, 9);
+    let scalars = [
+        ("seq", snap.seq),
+        ("next_txn", snap.next_txn),
+        ("epoch", u64::from(snap.epoch)),
+        ("page_size", u64::from(snap.page_size)),
+        ("max_ts_ticks", snap.max_ts_ticks),
+    ];
+    for (key, value) in scalars {
+        codec::put_key(&mut out, key);
+        codec::encode_into(&value, &mut out);
+    }
+    for (key, seq) in [
+        ("directory", &snap.directory),
+        ("page_map", &snap.page_map),
+        ("free", &snap.free),
+    ] {
+        codec::put_key(&mut out, key);
+        codec::put_seq_header(&mut out, seq.len());
+        for value in seq {
+            codec::encode_into(value, &mut out);
+        }
+    }
+    codec::put_key(&mut out, "next_page");
+    codec::encode_into(&snap.next_page, &mut out);
+    let crc = crc32(&out[12..]);
+    out[8..12].copy_from_slice(&crc.to_le_bytes());
+    out
+}
+
 /// Write a snapshot atomically and prune older ones.
 pub(crate) fn write_snapshot(dir: &Path, snap: &DirectorySnapshot) -> io::Result<u64> {
-    let payload = codec::to_bytes(snap);
-    let mut bytes = Vec::with_capacity(12 + payload.len());
-    bytes.extend_from_slice(MAGIC);
-    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
-
+    let bytes = encode_snapshot(snap);
     let final_path = snapshot_path(dir, snap.seq);
     let tmp_path = final_path.with_extension("esrdir.tmp");
     {
@@ -355,7 +381,11 @@ mod tests {
 
     #[test]
     fn directory_locates_objects() {
-        let d = Directory::from_assignments(vec![(0, 0), (0, 1), (1, 0), (7, 3)]);
+        let d = Directory::from_packed(
+            [(0, 0), (0, 1), (1, 0), (7, 3)]
+                .map(|(l, s)| pack_loc(l, s))
+                .to_vec(),
+        );
         assert_eq!(d.len(), 4);
         assert_eq!(d.locate(ObjectId(1)), (0, 1));
         assert_eq!(d.locate(ObjectId(3)), (7, 3));
@@ -429,6 +459,15 @@ mod tests {
         let back = load_latest(&dir).unwrap().expect("snapshot present");
         assert_eq!(back, sample_snapshot(9));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_streamed_snapshot_is_the_one_shot_encoding() {
+        let snap = sample_snapshot(u64::MAX);
+        let bytes = encode_snapshot(&snap);
+        assert_eq!(&bytes[..8], MAGIC);
+        assert_eq!(&bytes[12..], codec::to_bytes(&snap).as_slice());
+        assert_eq!(decode_snapshot(&bytes), Some(snap));
     }
 
     #[test]

@@ -186,68 +186,70 @@ impl std::fmt::Debug for PagedHeap {
 }
 
 impl PagedHeap {
-    /// Create a heap in `dir` from pre-built states (dense ids), write
+    /// Create a heap in `dir` from `states` (dense ids, in order), write
     /// every page at epoch 1, and persist an initial directory snapshot
     /// covering WAL seq `base_seq`. Used on first boot and when
     /// migrating a resident-mode data directory.
+    ///
+    /// The states stream: objects are packed into logical pages by
+    /// estimated full size, and each page is encoded and written the
+    /// moment it closes, so creation holds one page of states plus the
+    /// `(page, slot)` assignments, never the whole table.
     pub fn create(
         dir: impl Into<PathBuf>,
-        states: Vec<ObjectState>,
+        states: impl IntoIterator<Item = ObjectState>,
         base_seq: u64,
         next_txn: u64,
         cfg: &PagerConfig,
     ) -> io::Result<PagedHeap> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        for (i, s) in states.iter().enumerate() {
-            assert_eq!(s.id.index(), i, "object ids must be dense and in order");
-        }
         let file = HeapFile::open(&dir, cfg.page_size)?;
-
-        // Pack objects into logical pages by estimated full size.
         let budget = (cfg.page_size * cfg.fill_percent.clamp(5, 100) / 100)
             .saturating_sub(page::PAGE_HEADER)
             .max(1);
-        let mut assignments: Vec<(u32, u16)> = Vec::with_capacity(states.len());
-        let mut pages: Vec<Vec<ObjectState>> = Vec::new();
+        // Encode a closed page and write it to the extent after the last.
+        let write_page = |extents: &mut Vec<Extent>, page: &[ObjectState]| -> io::Result<()> {
+            let phys = extents.last().map_or(0, |e| e.phys + u64::from(e.pages));
+            let image = page::encode_page(1, page);
+            file.write_extent(phys, &image)?;
+            extents.push(Extent {
+                phys,
+                pages: file::extent_pages(image.len(), cfg.page_size) as u16,
+            });
+            Ok(())
+        };
+
+        let states = states.into_iter();
+        let mut locations: Vec<u64> = Vec::with_capacity(states.size_hint().0);
+        let mut extents = Vec::new();
         let mut current: Vec<ObjectState> = Vec::new();
         let mut current_size = 0usize;
-        for s in states {
+        let mut max_ticks = 0u64;
+        for (i, s) in states.enumerate() {
+            assert_eq!(s.id.index(), i, "object ids must be dense and in order");
+            max_ticks = max_ticks.max(state_ticks(&s));
             let est = page::estimate_full_size(&s);
             if !current.is_empty()
                 && (current_size + est > budget || current.len() == usize::from(u16::MAX))
             {
-                pages.push(std::mem::take(&mut current));
+                write_page(&mut extents, &current)?;
+                current.clear();
                 current_size = 0;
             }
-            assignments.push((pages.len() as u32, current.len() as u16));
+            locations.push(directory::pack_loc(
+                extents.len() as u32,
+                current.len() as u16,
+            ));
             current.push(s);
             current_size += est;
         }
         if !current.is_empty() {
-            pages.push(current);
+            write_page(&mut extents, &current)?;
         }
-
-        // Write every page at epoch 1 and build the physical map.
-        let mut extents = Vec::with_capacity(pages.len());
-        let mut next_page = 0u64;
-        let mut max_ticks = 0u64;
-        for page_states in &pages {
-            for s in page_states {
-                max_ticks = max_ticks.max(state_ticks(s));
-            }
-            let image = page::encode_page(1, page_states);
-            let n = file::extent_pages(image.len(), cfg.page_size) as u16;
-            file.write_extent(next_page, &image)?;
-            extents.push(Extent {
-                phys: next_page,
-                pages: n,
-            });
-            next_page += u64::from(n);
-        }
+        let next_page = extents.last().map_or(0, |e| e.phys + u64::from(e.pages));
         file.sync()?;
 
-        let directory = Directory::from_assignments(assignments);
         let page_map = PageMap::from_extents(extents);
         let snap = DirectorySnapshot {
             seq: base_seq,
@@ -255,7 +257,7 @@ impl PagedHeap {
             epoch: 1,
             page_size: cfg.page_size as u32,
             max_ts_ticks: max_ticks,
-            directory: directory.packed().to_vec(),
+            directory: locations,
             page_map: page_map.packed(),
             free: Vec::new(),
             next_page,
@@ -265,7 +267,7 @@ impl PagedHeap {
         Ok(Self::assemble(
             dir,
             file,
-            directory,
+            Directory::from_packed(snap.directory),
             page_map,
             Allocator::new(next_page, Vec::new()),
             1,
